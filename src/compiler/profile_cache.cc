@@ -11,9 +11,7 @@
 
 namespace qiset {
 
-ProfileCache::ProfileCache(size_t max_entries)
-    : max_entries_(max_entries),
-      stripes_(max_entries == 0 ? kUnboundedStripes : 1)
+ProfileCache::ProfileCache(size_t max_entries) : max_entries_(max_entries)
 {
 }
 
@@ -23,32 +21,13 @@ ProfileCache::key(const Matrix& target, const GateSpec& spec)
     return profileKeyCore(target, spec);
 }
 
-ProfileCache::Stripe&
-ProfileCache::stripeFor(const std::string& k)
-{
-    // FNV-1a over the key, independent of the map's std::hash so the
-    // per-stripe buckets stay well distributed.
-    uint64_t h = 1469598103934665603ull;
-    for (char c : k) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return stripes_[h % stripes_.size()];
-}
-
-const ProfileCache::Stripe&
-ProfileCache::stripeFor(const std::string& k) const
-{
-    return const_cast<ProfileCache*>(this)->stripeFor(k);
-}
-
 std::shared_ptr<const GateProfile>
-ProfileCache::insertLocked(Stripe& stripe, const std::string& k,
+ProfileCache::insertLocked(const std::string& k,
                            std::shared_ptr<const GateProfile> profile)
 {
-    auto [it, inserted] = stripe.profiles.try_emplace(k);
+    auto [it, inserted] = profiles_.try_emplace(k);
     it->second.last_used.store(
-        stripe.clock.fetch_add(1, std::memory_order_relaxed) + 1,
+        clock_.fetch_add(1, std::memory_order_relaxed) + 1,
         std::memory_order_relaxed);
     if (!inserted) {
         // Another thread computed the same profile first: its insert
@@ -59,25 +38,25 @@ ProfileCache::insertLocked(Stripe& stripe, const std::string& k,
     // Evict from the cold end (lowest tick); the new entry holds the
     // freshest tick and is never the victim while anything else
     // remains.
-    while (max_entries_ > 0 && stripe.profiles.size() > max_entries_ &&
-           stripe.profiles.size() > 1) {
-        auto victim = stripe.profiles.end();
+    while (max_entries_ > 0 && profiles_.size() > max_entries_ &&
+           profiles_.size() > 1) {
+        auto victim = profiles_.end();
         uint64_t min_tick = 0;
-        for (auto iter = stripe.profiles.begin();
-             iter != stripe.profiles.end(); ++iter) {
+        for (auto iter = profiles_.begin(); iter != profiles_.end();
+             ++iter) {
             if (iter == it)
                 continue;
             uint64_t tick =
                 iter->second.last_used.load(std::memory_order_relaxed);
-            if (victim == stripe.profiles.end() || tick < min_tick) {
+            if (victim == profiles_.end() || tick < min_tick) {
                 victim = iter;
                 min_tick = tick;
             }
         }
-        if (victim == stripe.profiles.end())
+        if (victim == profiles_.end())
             break;
-        stripe.profiles.erase(victim);
-        stripe.evictions.fetch_add(1, std::memory_order_relaxed);
+        profiles_.erase(victim);
+        evictions_.fetch_add(1, std::memory_order_relaxed);
     }
     return it->second.profile;
 }
@@ -86,7 +65,7 @@ std::shared_ptr<const GateProfile>
 ProfileCache::get(const Matrix& target, const GateSpec& spec,
                   const NuOpDecomposer& decomposer,
                   const DecompositionStrategy& strategy,
-                  LocalCacheCounters* local, bool tally_hit)
+                  LocalCacheCounters* local)
 {
     // Warm lookups are the pass-sweep hot path: build the key in a
     // reused per-thread buffer so a cache hit performs zero heap
@@ -94,29 +73,22 @@ ProfileCache::get(const Matrix& target, const GateSpec& spec,
     thread_local std::string k;
     k.clear();
     strategy.cacheKeyInto(k, target, spec);
-    Stripe& stripe = stripeFor(k);
     {
-        // Hits touch only this stripe, and only with a shared lock:
-        // concurrent readers proceed in parallel, against each other
-        // and against writers of other stripes. Recency and counters
-        // update atomically under the shared lock, so stats and LRU
-        // order stay exact.
-        std::shared_lock<std::shared_mutex> lock(stripe.mutex);
-        auto it = stripe.profiles.find(k);
-        if (it != stripe.profiles.end()) {
+        // Hits take only a shared lock: concurrent readers proceed in
+        // parallel. Recency and counters update atomically under the
+        // shared lock, so stats and LRU order stay exact.
+        std::shared_lock<std::shared_mutex> lock(mutex_);
+        auto it = profiles_.find(k);
+        if (it != profiles_.end()) {
             it->second.last_used.store(
-                stripe.clock.fetch_add(1, std::memory_order_relaxed) +
-                    1,
+                clock_.fetch_add(1, std::memory_order_relaxed) + 1,
                 std::memory_order_relaxed);
-            if (tally_hit) {
-                stripe.hits.fetch_add(1, std::memory_order_relaxed);
-                if (local)
-                    local->hits.fetch_add(1,
-                                          std::memory_order_relaxed);
-            }
+            hits_.fetch_add(1, std::memory_order_relaxed);
+            if (local)
+                local->hits.fetch_add(1, std::memory_order_relaxed);
             return it->second.profile;
         }
-        stripe.misses.fetch_add(1, std::memory_order_relaxed);
+        misses_.fetch_add(1, std::memory_order_relaxed);
         if (local)
             local->misses.fetch_add(1, std::memory_order_relaxed);
     }
@@ -130,68 +102,54 @@ ProfileCache::get(const Matrix& target, const GateSpec& spec,
     auto profile = std::make_shared<GateProfile>(
         strategy.computeProfile(target, spec, decomposer));
 
-    std::unique_lock<std::shared_mutex> lock(stripe.mutex);
-    return insertLocked(stripe, key_copy, std::move(profile));
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    return insertLocked(key_copy, std::move(profile));
 }
 
 std::shared_ptr<const GateProfile>
 ProfileCache::get(const Matrix& target, const GateSpec& spec,
                   const NuOpDecomposer& decomposer,
-                  LocalCacheCounters* local, bool tally_hit)
+                  LocalCacheCounters* local)
 {
     return get(target, spec, decomposer, nuopDecompositionStrategy(),
-               local, tally_hit);
+               local);
 }
 
 size_t
 ProfileCache::size() const
 {
-    size_t total = 0;
-    for (const Stripe& stripe : stripes_) {
-        std::shared_lock<std::shared_mutex> lock(stripe.mutex);
-        total += stripe.profiles.size();
-    }
-    return total;
+    std::shared_lock<std::shared_mutex> lock(mutex_);
+    return profiles_.size();
 }
 
 ProfileCacheStats
 ProfileCache::stats() const
 {
-    // Exact aggregation: each stripe's counters are updated atomically
-    // at the moment of the event, so the sums account for every hit,
-    // miss, eviction and load that completed before this call.
     ProfileCacheStats s;
-    for (const Stripe& stripe : stripes_) {
-        std::shared_lock<std::shared_mutex> lock(stripe.mutex);
-        s.hits += stripe.hits.load(std::memory_order_relaxed);
-        s.misses += stripe.misses.load(std::memory_order_relaxed);
-        s.evictions +=
-            stripe.evictions.load(std::memory_order_relaxed);
-        s.loaded += stripe.loaded.load(std::memory_order_relaxed);
-        s.entries += stripe.profiles.size();
-    }
+    std::shared_lock<std::shared_mutex> lock(mutex_);
+    s.hits = hits_.load(std::memory_order_relaxed);
+    s.misses = misses_.load(std::memory_order_relaxed);
+    s.evictions = evictions_.load(std::memory_order_relaxed);
+    s.loaded = loaded_.load(std::memory_order_relaxed);
+    s.entries = profiles_.size();
     return s;
 }
 
 void
 ProfileCache::resetStats()
 {
-    for (Stripe& stripe : stripes_) {
-        std::unique_lock<std::shared_mutex> lock(stripe.mutex);
-        stripe.hits.store(0, std::memory_order_relaxed);
-        stripe.misses.store(0, std::memory_order_relaxed);
-        stripe.evictions.store(0, std::memory_order_relaxed);
-        stripe.loaded.store(0, std::memory_order_relaxed);
-    }
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    hits_.store(0, std::memory_order_relaxed);
+    misses_.store(0, std::memory_order_relaxed);
+    evictions_.store(0, std::memory_order_relaxed);
+    loaded_.store(0, std::memory_order_relaxed);
 }
 
 void
 ProfileCache::clear()
 {
-    for (Stripe& stripe : stripes_) {
-        std::unique_lock<std::shared_mutex> lock(stripe.mutex);
-        stripe.profiles.clear();
-    }
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    profiles_.clear();
 }
 
 namespace {
@@ -244,13 +202,8 @@ ProfileCache::save(const std::string& path, const NuOpOptions& nuop,
         return false;
     os << std::setprecision(17);
 
-    // Hold every stripe (shared) for a consistent snapshot. Stripes
-    // are always acquired in index order (this is the only multi-
-    // stripe acquisition), so writers cannot deadlock against save().
-    std::vector<std::shared_lock<std::shared_mutex>> locks;
-    locks.reserve(stripes_.size());
-    for (const Stripe& stripe : stripes_)
-        locks.emplace_back(stripe.mutex);
+    // Hold the lock (shared) for a consistent snapshot.
+    std::shared_lock<std::shared_mutex> lock(mutex_);
 
     os << kMagic << ' ' << kVersion << '\n';
     // The strategy shapes both the keys (canonicalized or raw) and
@@ -261,29 +214,22 @@ ProfileCache::save(const std::string& path, const NuOpOptions& nuop,
     // layer bound, start count, exact tolerance, and the seed.
     os << "nuop " << nuop.max_layers << ' ' << nuop.multistarts << ' '
        << nuop.exact_threshold << ' ' << nuop.seed << '\n';
-    size_t total = 0;
-    for (const Stripe& stripe : stripes_)
-        total += stripe.profiles.size();
-    os << total << '\n';
-    // Entry order follows stripe + bucket order; it was never part of
-    // the v3 contract (the historical single map hashed arbitrarily)
-    // and load() merges entries one by one.
-    for (const Stripe& stripe : stripes_) {
-        for (const auto& [k, entry] : stripe.profiles) {
-            const GateProfile& p = *entry.profile;
-            os << k.size() << '\n' << k << '\n';
-            os << p.type_name.size() << '\n' << p.type_name << '\n';
-            os << p.engine.size() << '\n' << p.engine << '\n';
-            os << static_cast<int>(p.family) << '\n';
-            writeMatrix(os, p.unitary);
-            os << p.fits.size() << '\n';
-            for (const auto& fit : p.fits) {
-                os << fit.layers << ' ' << fit.fd << ' '
-                   << fit.params.size();
-                for (double v : fit.params)
-                    os << ' ' << v;
-                os << '\n';
-            }
+    os << profiles_.size() << '\n';
+    // Entry order follows bucket order; it was never part of the v3
+    // contract and load() merges entries one by one.
+    for (const auto& [k, entry] : profiles_) {
+        const GateProfile& p = *entry.profile;
+        os << k.size() << '\n' << k << '\n';
+        os << p.type_name.size() << '\n' << p.type_name << '\n';
+        os << p.engine.size() << '\n' << p.engine << '\n';
+        os << static_cast<int>(p.family) << '\n';
+        writeMatrix(os, p.unitary);
+        os << p.fits.size() << '\n';
+        for (const auto& fit : p.fits) {
+            os << fit.layers << ' ' << fit.fd << ' ' << fit.params.size();
+            for (double v : fit.params)
+                os << ' ' << v;
+            os << '\n';
         }
     }
     return static_cast<bool>(os);
@@ -394,12 +340,11 @@ ProfileCache::load(const std::string& path, const NuOpOptions& nuop,
         parsed.emplace_back(std::move(k), std::move(profile));
     }
 
+    std::unique_lock<std::shared_mutex> lock(mutex_);
     for (auto& [k, profile] : parsed) {
-        Stripe& stripe = stripeFor(k);
-        std::unique_lock<std::shared_mutex> lock(stripe.mutex);
-        if (stripe.profiles.count(k) == 0) {
-            insertLocked(stripe, k, std::move(profile));
-            stripe.loaded.fetch_add(1, std::memory_order_relaxed);
+        if (profiles_.count(k) == 0) {
+            insertLocked(k, std::move(profile));
+            loaded_.fetch_add(1, std::memory_order_relaxed);
         }
     }
     return true;

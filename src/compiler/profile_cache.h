@@ -15,17 +15,18 @@
  * amortization lever.
  *
  * The cache is thread-safe and built for contended service traffic:
- * entries live in lock stripes (16 when unbounded, 1 when bounded so
- * the capacity bound keeps exact global LRU semantics), each guarded
- * by a shared_mutex. Warm lookups — the overwhelming majority of
- * traffic once a workload's profiles exist — take only a *shared*
- * lock on one stripe, so concurrent service workers hitting the cache
- * never serialize against each other; recency and the hit/miss/
- * eviction/loaded statistics are maintained exactly via per-stripe
- * atomic counters aggregated on read. The expensive profile
- * computation runs outside any lock. Entries are handed out as
- * shared_ptr so a bounded cache can evict without invalidating
- * profiles still in use by a translation in flight.
+ * one map under one shared_mutex. Warm lookups — the overwhelming
+ * majority of traffic once a workload's profiles exist — take only a
+ * *shared* lock, so concurrent service workers hitting the cache never
+ * serialize against each other, and build their key in a reused
+ * per-thread buffer, so a warm hit performs zero heap allocations.
+ * Recency and the hit/miss/eviction/loaded statistics are exact: each
+ * is an atomic updated at the moment of the event, so a bounded cache
+ * evicts in exact LRU order and stats() accounts for every completed
+ * call. The expensive profile computation runs outside the lock.
+ * Entries are handed out as shared_ptr so a bounded cache can evict
+ * without invalidating profiles still in use by a translation in
+ * flight.
  */
 
 #include <atomic>
@@ -34,7 +35,6 @@
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "nuop/decomposition_strategy.h"
 #include "nuop/template_circuit.h"
@@ -91,24 +91,18 @@ class ProfileCache
      * cache safely serves mixed engines). The returned profile stays
      * valid even if the entry is later evicted. When `local` is given,
      * the call is additionally tallied there (hit or miss).
-     *
-     * `tally_hit=false` suppresses hit counting (global and local) —
-     * used by the translator when re-fetching profiles it warmed
-     * moments earlier, so "hits" measures genuine reuse rather than
-     * the pipeline's own bookkeeping. Misses (profile computations)
-     * are always counted.
      */
     std::shared_ptr<const GateProfile>
     get(const Matrix& target, const GateSpec& spec,
         const NuOpDecomposer& decomposer,
         const DecompositionStrategy& strategy,
-        LocalCacheCounters* local = nullptr, bool tally_hit = true);
+        LocalCacheCounters* local = nullptr);
 
     /** Baseline overload: the "nuop" engine (pre-registry behavior). */
     std::shared_ptr<const GateProfile>
     get(const Matrix& target, const GateSpec& spec,
         const NuOpDecomposer& decomposer,
-        LocalCacheCounters* local = nullptr, bool tally_hit = true);
+        LocalCacheCounters* local = nullptr);
 
     size_t size() const;
 
@@ -164,51 +158,34 @@ class ProfileCache
     {
         std::shared_ptr<const GateProfile> profile;
         /**
-         * Recency tick drawn from the owning stripe's clock (higher =
-         * more recently used). Atomic so hits can refresh it under a
-         * shared lock.
+         * Recency tick drawn from `clock_` (higher = more recently
+         * used). Atomic so hits can refresh it under a shared lock.
          */
         std::atomic<uint64_t> last_used{0};
     };
 
     /**
-     * One lock stripe: a shard of the key space with its own reader/
-     * writer lock, recency clock and exact statistics counters. The
-     * map is node-based, so concurrent shared-lock readers can copy
-     * entry shared_ptrs while other stripes mutate freely.
-     */
-    struct Stripe
-    {
-        mutable std::shared_mutex mutex;
-        std::unordered_map<std::string, Entry> profiles;
-        /** Monotonic recency clock; ticks order entries for LRU. */
-        std::atomic<uint64_t> clock{0};
-        std::atomic<uint64_t> hits{0};
-        std::atomic<uint64_t> misses{0};
-        std::atomic<uint64_t> evictions{0};
-        std::atomic<uint64_t> loaded{0};
-    };
-
-    /** Stripe count when unbounded; bounded caches use one stripe so
-     *  the capacity bound evicts in exact global-LRU order. */
-    static constexpr size_t kUnboundedStripes = 16;
-
-    Stripe& stripeFor(const std::string& k);
-    const Stripe& stripeFor(const std::string& k) const;
-
-    /**
-     * Insert under an exclusive lock on `stripe`, evicting least-
-     * recently-used entries past capacity (lowest recency tick first;
-     * the entry just inserted holds the freshest tick and is never
-     * the victim).
+     * Insert under the exclusive lock, evicting least-recently-used
+     * entries past capacity (lowest recency tick first; the entry just
+     * inserted holds the freshest tick and is never the victim).
      */
     std::shared_ptr<const GateProfile>
-    insertLocked(Stripe& stripe, const std::string& k,
+    insertLocked(const std::string& k,
                  std::shared_ptr<const GateProfile> profile);
 
     size_t max_entries_ = 0;
-    /** Fixed at construction; never resized (stripes cannot move). */
-    std::vector<Stripe> stripes_;
+    /**
+     * Node-based map: shared-lock readers copy entry shared_ptrs and
+     * refresh recency ticks while no writer holds the lock.
+     */
+    mutable std::shared_mutex mutex_;
+    std::unordered_map<std::string, Entry> profiles_;
+    /** Monotonic recency clock; ticks order entries for LRU. */
+    std::atomic<uint64_t> clock_{0};
+    std::atomic<uint64_t> hits_{0};
+    std::atomic<uint64_t> misses_{0};
+    std::atomic<uint64_t> evictions_{0};
+    std::atomic<uint64_t> loaded_{0};
 };
 
 } // namespace qiset

@@ -47,48 +47,6 @@ gateSpecs(const GateSet& gate_set)
     return specs;
 }
 
-void
-precomputeProfiles(const Circuit& circuit,
-                   const std::vector<GateSpec>& specs,
-                   const NuOpDecomposer& decomposer,
-                   const DecompositionStrategy& strategy,
-                   ProfileCache& cache, ThreadPool* pool,
-                   LocalCacheCounters* local, size_t max_parallelism)
-{
-    // Collect distinct (op, spec) jobs; the cache key dedups repeats.
-    // Only the unitary column matters here — pointers into it stay
-    // valid for the whole sweep (the circuit is not mutated).
-    std::vector<const Matrix*> two_q_unitaries;
-    const auto& op_qubits = circuit.opQubits();
-    const auto& op_unitaries = circuit.opUnitaries();
-    for (size_t i = 0; i < op_qubits.size(); ++i)
-        if (op_qubits[i].isTwoQubit())
-            two_q_unitaries.push_back(&op_unitaries[i]);
-
-    size_t total = two_q_unitaries.size() * specs.size();
-    auto job = [&](size_t index) {
-        const Matrix& unitary = *two_q_unitaries[index / specs.size()];
-        const GateSpec& spec = specs[index % specs.size()];
-        cache.get(unitary, spec, decomposer, strategy, local);
-    };
-    // Fan out only when more than one worker can actually run the
-    // jobs: with an effective worker count of 1 (a one-thread pool or
-    // a parallelism cap of 1) the claim/atomic overhead of the
-    // cooperative loop is pure loss, so take the plain serial path.
-    size_t effective_workers =
-        pool ? std::min(pool->size(),
-                        max_parallelism == 0
-                            ? std::numeric_limits<size_t>::max()
-                            : max_parallelism)
-             : 0;
-    if (effective_workers > 1) {
-        parallelFor(*pool, total, job, max_parallelism);
-    } else {
-        for (size_t i = 0; i < total; ++i)
-            job(i);
-    }
-}
-
 GateChoice
 selectGate(const std::vector<const GateProfile*>& profiles,
            const std::vector<double>& edge_fidelities,
@@ -193,19 +151,65 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
 
     std::vector<GateSpec> specs = gateSpecs(gate_set);
     QISET_REQUIRE(!specs.empty(), "instruction set is empty");
+    size_t num_specs = specs.size();
+
+    static const LabelId u3_label = internLabel("U3");
+    static const LabelId teleport_label = internLabel("TELEPORT");
+    static const LabelId teleswap_label = internLabel("TELESWAP");
+    // Inter-core link ops are already native: their endpoints are not
+    // coupling-adjacent (no calibrated edge to decompose onto) and
+    // they carry the EPR link's error rate and duration from routing.
+    // They pass through untouched and are never profiled.
+    auto is_link = [](LabelId label) {
+        return label == teleport_label || label == teleswap_label;
+    };
+
+    // Profile sweep: exactly one cache lookup per (2Q block, spec).
+    // handles[block * num_specs + g] is the block's profile under
+    // specs[g]; the table keeps every profile alive through selection
+    // and emission even if a bounded cache evicts the entry meanwhile.
+    // Only the unitary column is read, and pointers into it stay valid
+    // for the whole call (the routed circuit is not mutated).
+    const auto& op_qubits = routed.opQubits();
+    const auto& op_labels = routed.opLabels();
+    const auto& op_unitaries = routed.opUnitaries();
+    std::vector<const Matrix*> block_unitaries;
+    block_unitaries.reserve(
+        static_cast<size_t>(routed.twoQubitGateCount()));
+    for (size_t i = 0; i < op_qubits.size(); ++i)
+        if (op_qubits[i].isTwoQubit() && !is_link(op_labels[i]))
+            block_unitaries.push_back(&op_unitaries[i]);
+
     LocalCacheCounters local;
-    precomputeProfiles(routed, specs, decomposer, strategy, cache, pool,
-                       &local, max_parallelism);
+    std::vector<std::shared_ptr<const GateProfile>> handles(
+        block_unitaries.size() * num_specs);
+    auto fetch = [&](size_t index) {
+        handles[index] = cache.get(*block_unitaries[index / num_specs],
+                                   specs[index % num_specs], decomposer,
+                                   strategy, &local);
+    };
+    // Fan out only when more than one worker can actually run the
+    // lookups: with an effective worker count of 1 (a one-thread pool
+    // or a parallelism cap of 1) the claim/atomic overhead of the
+    // cooperative loop is pure loss, so take the plain serial path.
+    size_t effective_workers =
+        pool ? std::min(pool->size(),
+                        max_parallelism == 0
+                            ? std::numeric_limits<size_t>::max()
+                            : max_parallelism)
+             : 0;
+    if (effective_workers > 1) {
+        parallelFor(*pool, handles.size(), fetch, max_parallelism);
+    } else {
+        for (size_t i = 0; i < handles.size(); ++i)
+            fetch(i);
+    }
 
     int n = routed.numQubits();
     TranslateResult result;
     result.circuit = Circuit(n);
 
     double f1q_avg = 1.0 - device.averageOneQubitError();
-
-    static const LabelId u3_label = internLabel("U3");
-    static const LabelId teleport_label = internLabel("TELEPORT");
-    static const LabelId teleswap_label = internLabel("TELESWAP");
 
     // Per-2Q-block working sets, hoisted so the selection and emission
     // loops reuse their capacity (and the U3 matrices' inline storage)
@@ -216,41 +220,31 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
     std::vector<Matrix> u3s;
 
     // Selection pre-pass: resolve every 2Q block's gate choice once,
-    // up front. Each block expands to exactly 2 + 3*layers native ops,
-    // so summing the chosen fits sizes the output columns *exactly* —
-    // one reservation, no growth reallocations while emitting (the
-    // unitary column alone is megabytes on wide circuits, and doubling
-    // it dominated the warm-compile allocation profile). The stored
-    // choices are reused by the emission loop below; `all_holders`
-    // keeps every selected profile alive even if a bounded cache
-    // evicts the entries in between.
+    // up front, from the handle table. Each block expands to exactly
+    // 2 + 3*layers native ops, so summing the chosen fits sizes the
+    // output columns *exactly* — one reservation, no growth
+    // reallocations while emitting (the unitary column alone is
+    // megabytes on wide circuits, and doubling it dominated the
+    // warm-compile allocation profile). The stored choices are reused
+    // by the emission loop below.
     std::vector<GateChoice> block_choices;
-    std::vector<std::shared_ptr<const GateProfile>> all_holders;
-    size_t routed_2q = static_cast<size_t>(routed.twoQubitGateCount());
-    block_choices.reserve(routed_2q);
-    all_holders.reserve(routed_2q * specs.size());
+    block_choices.reserve(block_unitaries.size());
     size_t exact_ops = 0;
     for (const auto& op : routed.ops()) {
-        if (!op.isTwoQubit() || op.labelId() == teleport_label ||
-            op.labelId() == teleswap_label) {
+        if (!op.isTwoQubit() || is_link(op.labelId())) {
             ++exact_ops; // passes through as a single op.
             continue;
         }
         Qubits qs = op.qubits();
         int pa = physical[qs[0]];
         int pb = physical[qs[1]];
+        const auto* block = &handles[block_choices.size() * num_specs];
         profiles.clear();
         fidelities.clear();
-        for (const auto& spec : specs) {
-            // Re-fetch of a profile precomputeProfiles just warmed:
-            // don't tally the hit, or a stone-cold compile would
-            // report a warm-looking hit rate.
-            all_holders.push_back(cache.get(op.unitary(), spec,
-                                            decomposer, strategy, &local,
-                                            /*tally_hit=*/false));
-            profiles.push_back(all_holders.back().get());
+        for (size_t g = 0; g < num_specs; ++g) {
+            profiles.push_back(block[g].get());
             fidelities.push_back(
-                device.edgeFidelity(pa, pb, spec.type_name));
+                device.edgeFidelity(pa, pb, specs[g].type_name));
         }
         block_choices.push_back(
             selectGate(profiles, fidelities, f1q_avg, approximate,
@@ -275,12 +269,7 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
             continue;
         }
 
-        if (op.labelId() == teleport_label ||
-            op.labelId() == teleswap_label) {
-            // Inter-core link ops are already native: their endpoints
-            // are not coupling-adjacent (no calibrated edge to
-            // decompose onto) and they carry the EPR link's error rate
-            // and duration from routing. Pass through untouched.
+        if (is_link(op.labelId())) {
             result.circuit.add(op);
             result.estimated_fidelity *= 1.0 - op.errorRate();
             ++result.type_usage[op.label()];
@@ -340,8 +329,7 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
             fidelities.clear();
             for (const auto& spec : specs) {
                 holders.push_back(cache.get(op_unitary, spec, decomposer,
-                                            *op_strategy, &local,
-                                            /*tally_hit=*/false));
+                                            *op_strategy, &local));
                 profiles.push_back(holders.back().get());
                 fidelities.push_back(
                     device.edgeFidelity(pa, pb, spec.type_name));

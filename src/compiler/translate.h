@@ -34,21 +34,6 @@ namespace qiset {
  */
 std::vector<GateSpec> gateSpecs(const GateSet& gate_set);
 
-/**
- * Warm the cache for every distinct (2Q unitary, gate spec) pair of a
- * circuit, in parallel across the pool when provided (cooperatively —
- * safe even when the caller is itself a pool worker). Lookups are
- * tallied into `local` when given. `max_parallelism` caps the threads
- * used, including the caller (0 = no cap, 1 = serial).
- */
-void precomputeProfiles(const Circuit& circuit,
-                        const std::vector<GateSpec>& specs,
-                        const NuOpDecomposer& decomposer,
-                        const DecompositionStrategy& strategy,
-                        ProfileCache& cache, ThreadPool* pool,
-                        LocalCacheCounters* local = nullptr,
-                        size_t max_parallelism = 0);
-
 /** Outcome of selecting the best decomposition for one edge. */
 struct GateChoice
 {
@@ -85,7 +70,9 @@ struct TranslateResult
     double estimated_fidelity = 1.0;
     /**
      * Profile-cache traffic of *this* translation only (global cache
-     * stats also include concurrently-compiling circuits).
+     * stats also include concurrently-compiling circuits): one lookup
+     * per (2Q block, gate spec), plus one per spec for each dressing
+     * fallback below.
      */
     uint64_t cache_hits = 0;
     uint64_t cache_misses = 0;
@@ -110,6 +97,14 @@ struct TranslateResult
  * type); for canonicalizing strategies the cached circuit implements
  * the Weyl-chamber representative and is re-dressed here with the
  * exact local factors of each concrete target.
+ *
+ * Each (2Q block, gate spec) profile is fetched from the cache exactly
+ * once per call; inter-core link ops (TELEPORT/TELESWAP) are already
+ * native and are never profiled. The fetch sweep fans out across the
+ * pool when given (cooperatively — safe even when the caller is itself
+ * a pool worker); `max_parallelism` caps the threads it uses,
+ * including the caller (0 = no cap, 1 = serial). Selection and
+ * emission stay serial, so the result is bit-identical either way.
  */
 TranslateResult translateCircuit(const Circuit& routed,
                                  const std::vector<int>& physical,

@@ -324,6 +324,66 @@ TEST(ChipletPipeline, TeleportsCrossCoresAndPreserveTheRegister)
     EXPECT_GT(forced.teleports_inserted, 0);
 }
 
+/** Counts the 2Q ops translation will see, split by link or block. */
+class BlockCountingPass : public Pass
+{
+  public:
+    BlockCountingPass(size_t* blocks, size_t* links)
+        : blocks_(blocks), links_(links)
+    {
+    }
+
+    std::string name() const override { return "count-blocks"; }
+
+    void run(CompilationContext& ctx) override
+    {
+        static const LabelId teleport = internLabel("TELEPORT");
+        static const LabelId teleswap = internLabel("TELESWAP");
+        for (const auto& op : ctx.circuit.ops()) {
+            if (!op.isTwoQubit())
+                continue;
+            bool link =
+                op.labelId() == teleport || op.labelId() == teleswap;
+            ++*(link ? links_ : blocks_);
+        }
+    }
+
+  private:
+    size_t* blocks_;
+    size_t* links_;
+};
+
+TEST(ChipletPipeline, TranslationNeverProfilesLinkOps)
+{
+    // Link ops pass through translation untouched, so they must cost
+    // no profile lookups: the cache sees one lookup per (decomposed
+    // 2Q block, gate spec) and nothing for TELEPORT/TELESWAP.
+    Device d = chiplet2x2();
+    GateSet set = isa::singleTypeSet(3);
+    ProfileCache cache;
+    CompileOptions options = fastCompile();
+    options.routing = "telesabre";
+
+    size_t blocks = 0, links = 0;
+    PassManager pipeline = defaultPipeline(options);
+    ASSERT_TRUE(pipeline.insertBefore(
+        "translation",
+        std::make_unique<BlockCountingPass>(&blocks, &links)));
+    CompilationContext ctx(makeQftCircuit(10), d, set, options, cache);
+    pipeline.run(ctx);
+    CompileResult result = ctx.takeResult();
+    ASSERT_GT(result.teleports_inserted, 0);
+    ASSERT_GT(links, 0u);
+
+    double lookups = -1.0;
+    for (const PassMetric& metric : result.pass_metrics)
+        if (metric.pass == "translation")
+            lookups = metric.counters.at("cache_hits") +
+                      metric.counters.at("cache_misses");
+    EXPECT_EQ(lookups,
+              static_cast<double>(blocks * gateSpecs(set).size()));
+}
+
 TEST(ChipletPipeline, KnobOffSwapOnlyLinksCostMoreFidelity)
 {
     Device d = chiplet2x2();

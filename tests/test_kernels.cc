@@ -139,6 +139,10 @@ TEST(KernelDispatch, EnvResolution)
     EXPECT_STREQ(kernels::resolveTier("scalar", nullptr), "scalar");
     // Unknown or unrunnable tiers fall back to the best native one.
     EXPECT_STREQ(kernels::resolveTier("bogus", nullptr), native);
+    // "neon" is not a tier (there is no NEON kernel table), so it
+    // resolves like any other unknown name.
+    EXPECT_STREQ(kernels::resolveTier("neon", nullptr), native);
+    EXPECT_EQ(kernels::opsForTier("neon"), nullptr);
 }
 
 TEST(KernelDispatch, SetTierSwitchesAndRejectsUnknown)

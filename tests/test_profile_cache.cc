@@ -284,15 +284,15 @@ TEST(ProfileCacheCore, LoadRejectsMismatchedStrategy)
 
 TEST(ProfileCacheCore, StripeContentionKeepsExactCounts)
 {
-    // Readers and writers hammer the striped cache concurrently; every
+    // Readers and writers hammer the shared cache concurrently; every
     // hit, miss and eviction must be accounted for exactly (shared-
     // lock hits update recency and counters atomically, so nothing is
     // lost or double-counted).
     NuOpDecomposer decomposer(fastNuOp());
-    ProfileCache cache; // unbounded: 16 stripes
+    ProfileCache cache; // unbounded
     ThreadPool pool(8);
 
-    const int kDistinct = 12; // spreads keys across stripes
+    const int kDistinct = 12;
     auto target = [](int i) {
         return zz(0.05 * static_cast<double>(i + 1));
     };

@@ -1,5 +1,7 @@
 // NuOp translation pass tests: profiles, selection and emission.
 
+#include <atomic>
+
 #include <gtest/gtest.h>
 
 #include "apps/qv.h"
@@ -280,7 +282,7 @@ TEST(Translate, SwapTypeUsedForRoutedSwaps)
 TEST(Translate, ParallelProfileWarmupBitIdenticalToSerial)
 {
     // The intra-circuit fan-out only parallelizes the profile
-    // precompute; selection and emission stay serial. Whatever the
+    // lookups; selection and emission stay serial. Whatever the
     // thread count or cap, the emitted circuit must be bit-identical
     // — each variant runs against its own cold cache so identity is
     // established by recomputation, not by sharing profile objects.
@@ -331,14 +333,100 @@ TEST(Translate, ParallelProfileWarmupBitIdenticalToSerial)
             EXPECT_EQ(x.unitary().maxAbsDiff(y.unitary()), 0.0);
         }
     }
-    // Every (op, spec) precompute job tallies exactly one hit or
-    // miss. The split is timing-dependent under concurrency (racing
+    // Every (block, spec) lookup tallies exactly one hit or miss. The split is timing-dependent under concurrency (racing
     // same-key requesters both compute and both count as misses, by
     // ProfileCache design), but the total is exact.
     EXPECT_EQ(serial.cache_hits + serial.cache_misses,
               uncapped.cache_hits + uncapped.cache_misses);
     EXPECT_EQ(serial.cache_hits, forced_serial.cache_hits);
     EXPECT_EQ(serial.cache_misses, forced_serial.cache_misses);
+}
+
+/** Delegating engine that counts the cache keys built through it. */
+class KeyCountingStrategy : public DecompositionStrategy
+{
+  public:
+    explicit KeyCountingStrategy(const std::string& engine)
+        : inner_(makeDecompositionStrategy(engine))
+    {
+    }
+
+    std::string name() const override { return inner_->name(); }
+    bool canonicalizesTargets() const override
+    {
+        return inner_->canonicalizesTargets();
+    }
+    Matrix profileTarget(const Matrix& target) const override
+    {
+        return inner_->profileTarget(target);
+    }
+    std::string cacheKey(const Matrix& target,
+                         const GateSpec& spec) const override
+    {
+        return inner_->cacheKey(target, spec);
+    }
+    void cacheKeyInto(std::string& out, const Matrix& target,
+                      const GateSpec& spec) const override
+    {
+        keys.fetch_add(1);
+        inner_->cacheKeyInto(out, target, spec);
+    }
+    GateProfile computeProfile(const Matrix& target, const GateSpec& spec,
+                               const NuOpDecomposer& decomposer) const override
+    {
+        return inner_->computeProfile(target, spec, decomposer);
+    }
+
+    mutable std::atomic<size_t> keys{0};
+
+  private:
+    std::unique_ptr<DecompositionStrategy> inner_;
+};
+
+TEST(Translate, WarmTranslationLooksUpEachBlockProfileOnce)
+{
+    // One cache lookup — one key built — per (2Q block, gate spec),
+    // serial or fanned over a pool, and on a warm cache every one of
+    // them is a hit.
+    Device d("line4", Topology::line(4));
+    for (auto [a, b] : d.topology().edges()) {
+        d.setEdgeFidelity(a, b, "S3", 0.99);
+        d.setEdgeFidelity(a, b, "S4", 0.98);
+    }
+    for (int q = 0; q < 4; ++q)
+        d.setOneQubitError(q, 0.001);
+    GateSet set = isa::rigettiSet(1); // {CZ, iSWAP}
+    NuOpDecomposer decomposer(fastNuOp());
+    Rng rng(74);
+    Circuit logical(4);
+    logical.add2q(0, 1, randomSu4(rng), "SU4");
+    logical.add1q(2, hadamard(), "H");
+    logical.add2q(1, 2, zz(0.3), "ZZ");
+    logical.add2q(2, 3, randomSu4(rng), "SU4");
+    logical.add2q(0, 1, zz(0.3), "ZZ"); // same profile, own lookup
+    const size_t expected =
+        static_cast<size_t>(logical.twoQubitGateCount()) *
+        gateSpecs(set).size();
+    ASSERT_GT(expected, 0u);
+
+    ThreadPool pool(2);
+    for (const char* engine : {"nuop", "auto"}) {
+        SCOPED_TRACE(engine);
+        KeyCountingStrategy strategy(engine);
+        ProfileCache cache;
+        translateCircuit(logical, {0, 1, 2, 3}, d, set, decomposer,
+                         strategy, cache, /*approximate=*/true);
+        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+            strategy.keys = 0;
+            TranslateResult warm =
+                translateCircuit(logical, {0, 1, 2, 3}, d, set,
+                                 decomposer, strategy, cache,
+                                 /*approximate=*/true, p);
+            EXPECT_EQ(strategy.keys.load(), expected);
+            EXPECT_EQ(warm.cache_hits, expected);
+            EXPECT_EQ(warm.cache_misses, 0u);
+        }
+    }
 }
 
 TEST(Translate, TypeUsageAccounting)
