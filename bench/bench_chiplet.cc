@@ -57,10 +57,14 @@ struct Variant
     double wall_ms = 0.0;
 };
 
+/** Compile one variant from a cold cache, so wall_ms compares like
+ *  with like (profiles are deterministic, so results do not depend on
+ *  the cache). */
 Variant
 compileVariant(const Workload& workload, const GateSet& set,
-               ProfileCache& cache, bool use_teleport)
+               bool use_teleport)
 {
+    ProfileCache cache;
     CompileOptions options = bench::benchCompileOptions();
     options.routing = "telesabre";
     options.teleport.use_teleport = use_teleport;
@@ -129,7 +133,6 @@ main()
                          &chiplet3x3});
 
     GateSet set = isa::singleTypeSet(3);
-    ProfileCache cache;
 
     bool teleport_wins = true;
     double min_teleport_fidelity = 1.0;
@@ -137,8 +140,8 @@ main()
     std::cout << "{\n  \"bench\": \"chiplet\",\n  \"workloads\": [\n";
     for (size_t w = 0; w < workloads.size(); ++w) {
         const Workload& workload = workloads[w];
-        Variant tele = compileVariant(workload, set, cache, true);
-        Variant swap = compileVariant(workload, set, cache, false);
+        Variant tele = compileVariant(workload, set, true);
+        Variant swap = compileVariant(workload, set, false);
 
         // The self-check: inter-core traffic must exist, and paying
         // one EPR pair per crossing instead of three must show up in

@@ -16,9 +16,8 @@
  * comparable between laptops and CI runners.
  *
  * A second *soak* leg replays a few hundred tiny jobs with the full
- * observability stack on — event stream + background recorder,
- * completion callbacks, periodic telemetry snapshots, online cost
- * model — and exports the drained log as a Chrome trace
+ * observability stack on — event stream + background recorder and
+ * completion callbacks — and exports the drained log as a Chrome trace
  * (SERVICE_TRACE_OUT, default "trace.json"; load it in Perfetto or
  * chrome://tracing). scripts/trace_lint.py validates the file in CI.
  * The soak fails the bench on dropped packets, missed callbacks or an
@@ -175,20 +174,11 @@ main()
     EventStream stream(size_t{1} << 16);
     EventRecorder recorder(stream, 1.0);
     std::atomic<size_t> soak_callbacks{0};
-    std::atomic<size_t> snapshots{0};
-    CompileCostModel cost_model;
     double soak_ms = 0.0;
     {
         CompileServiceOptions soak_options;
         soak_options.workers = threads;
         soak_options.events = &stream;
-        soak_options.cost_model = &cost_model;
-        soak_options.planner.use_cost_model = true;
-        soak_options.telemetry_interval_ms = 5.0;
-        soak_options.telemetry_sink =
-            [&snapshots](std::vector<PassMetric>) {
-                snapshots.fetch_add(1, std::memory_order_relaxed);
-            };
         CompileService soak(fleet, set, soak_options);
 
         Rng rng(4072);
@@ -246,8 +236,6 @@ main()
               << ", \"events_dropped\": " << stream.dropped()
               << ", \"events_recorded\": " << recorder.events().size()
               << ", \"callbacks\": " << soak_callbacks.load()
-              << ", \"cost_model_samples\": " << cost_model.samples()
-              << ", \"telemetry_snapshots\": " << snapshots.load()
               << ", \"trace_file\": \"" << trace_path << "\""
               << ", \"trace_written\": "
               << (trace_written ? "true" : "false")

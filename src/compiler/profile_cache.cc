@@ -1,5 +1,6 @@
 #include "compiler/profile_cache.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
@@ -315,7 +316,9 @@ ProfileCache::load(const std::string& path, const NuOpOptions& nuop,
             !readLenString(is, engine))
             return false;
         int family = 0;
-        if (!(is >> family))
+        if (!(is >> family) ||
+            family < static_cast<int>(TemplateFamily::Fixed) ||
+            family > static_cast<int>(TemplateFamily::FullCphase))
             return false;
         auto profile = std::make_shared<GateProfile>();
         profile->type_name = std::move(type_name);
@@ -323,14 +326,28 @@ ProfileCache::load(const std::string& path, const NuOpOptions& nuop,
         profile->family = static_cast<TemplateFamily>(family);
         if (!readMatrix(is, profile->unitary))
             return false;
+        // Translation rebuilds each fit's template from the profile, so
+        // a Fixed profile needs its 4x4 gate.
+        bool fixed = profile->family == TemplateFamily::Fixed;
+        if (fixed && (profile->unitary.rows() != 4 ||
+                      profile->unitary.cols() != 4))
+            return false;
         size_t num_fits = 0;
         if (!(is >> num_fits) || num_fits > 1024)
             return false;
         profile->fits.resize(num_fits);
         for (auto& fit : profile->fits) {
             size_t num_params = 0;
+            // A template has more params than layers, so a layer count
+            // above the param bound can never match its param count.
             if (!(is >> fit.layers >> fit.fd >> num_params) ||
-                num_params > 4096)
+                num_params > 4096 || fit.layers < 0 ||
+                fit.layers > 4096 || !std::isfinite(fit.fd))
+                return false;
+            TwoQubitTemplate templ =
+                fixed ? TwoQubitTemplate(fit.layers, profile->unitary)
+                      : TwoQubitTemplate(fit.layers, profile->family);
+            if (num_params != static_cast<size_t>(templ.numParams()))
                 return false;
             fit.params.resize(num_params);
             for (double& v : fit.params)

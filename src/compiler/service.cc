@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <thread>
 
 #include "common/error.h"
 #include "metrics/metrics.h"
@@ -15,6 +14,13 @@ namespace qiset {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/**
+ * Successful compiles the service times before its re-plans add the
+ * measured mean compile time to every candidate; until then the
+ * static schedule proxy carries the cold start alone.
+ */
+constexpr uint64_t kMinTimedCompiles = 16;
 
 double
 nsSince(Clock::time_point start)
@@ -186,12 +192,6 @@ struct CompileService::Impl
         double epr_attempts = 0.0;
         double est_fid_sum = 0.0;
         double pred_fid_sum = 0.0;
-        /** Summed workload features of the admitted circuits, so the
-         *  snapshot can ask the cost model about the shard's *mean*
-         *  workload without keeping per-circuit history. */
-        double feat_ops_sum = 0.0;
-        double feat_two_q_sum = 0.0;
-        double feat_depth_sum = 0.0;
         std::vector<PassMetric> pass_rollup;
     };
 
@@ -205,10 +205,6 @@ struct CompileService::Impl
     size_t max_inflight = 1;
     /** Borrowed event stream; null publishes nothing. */
     EventStream* events = nullptr;
-    /** Active cost model (opts.cost_model, or owned_model when the
-     *  planner knob asks for one); null observes nothing. */
-    CompileCostModel owned_model;
-    CompileCostModel* cost_model = nullptr;
 
     mutable std::mutex m;
     std::condition_variable idle_cv;
@@ -220,6 +216,9 @@ struct CompileService::Impl
     uint64_t next_dispatch_seq = 1;
     size_t queued = 0;
     size_t in_flight = 0;
+    /** Summed wall-clock and count of the successful compiles. */
+    double compile_ms_sum = 0.0;
+    uint64_t compiles_timed = 0;
 
     /**
      * Per-shard admission queues, each sorted so the back holds the
@@ -227,9 +226,6 @@ struct CompileService::Impl
      * i.e. back = highest priority, earliest sequence number.
      */
     std::vector<std::vector<QueueEntry>> queues;
-    /** Gauge: circuits dispatched but not yet finished, per shard
-     *  (threaded mode only; drives max_in_flight_per_shard). */
-    std::vector<size_t> shard_in_flight;
     /** Gauge: predicted ns admitted but not yet compiled, per shard. */
     std::vector<double> backlog_ns;
     /** Monotonic predicted ns ever admitted, per shard. */
@@ -254,13 +250,6 @@ struct CompileService::Impl
      *  (guarded by m); shutdown() drains to zero so no callback ever
      *  outlives the service. */
     size_t callback_firers = 0;
-
-    // Periodic shardTelemetry() publisher (separate mutex: the thread
-    // must be stoppable without touching the heavily-contended m).
-    std::thread publisher;
-    std::mutex pub_m;
-    std::condition_variable pub_cv;
-    bool pub_stop = false;
 
     /** True when a dispatches before b (FIFO within priority). */
     static bool dispatchesBefore(const QueueEntry& a, const QueueEntry& b)
@@ -370,17 +359,10 @@ struct CompileService::Impl
     {
         if (!pool)
             return;
-        size_t per_shard_cap = opts.planner.max_in_flight_per_shard;
         while (!paused && in_flight < max_inflight) {
             int best_shard = -1;
             for (size_t s = 0; s < queues.size(); ++s) {
                 if (queues[s].empty())
-                    continue;
-                // Per-shard cap: a saturated shard's queue waits, but
-                // other shards keep dispatching — finishEntry re-pumps
-                // when a slot frees up, so nothing is ever lost.
-                if (per_shard_cap > 0 &&
-                    shard_in_flight[s] >= per_shard_cap)
                     continue;
                 if (best_shard < 0 ||
                     dispatchesBefore(
@@ -417,7 +399,6 @@ struct CompileService::Impl
                 continue;
             }
             ++in_flight;
-            ++shard_in_flight[static_cast<size_t>(best_shard)];
             auto self = shared_from_this();
             pool->submit([self, entry] { self->runEntry(entry); });
         }
@@ -502,11 +483,6 @@ struct CompileService::Impl
                 maybeFinalizeJobLocked(entry.job);
             }
             --in_flight;
-            // Inline submits never touch the per-shard gauges, so
-            // only pool dispatches pay one back here.
-            if (pool)
-                --shard_in_flight[static_cast<size_t>(
-                    entry.job->plan.assignments[entry.index].shard)];
             idle_cv.notify_all();
         }
         fireReadyCallbacks();
@@ -519,20 +495,11 @@ struct CompileService::Impl
             entry.job->plan.assignments[entry.index];
         size_t s = static_cast<size_t>(assignment.shard);
 
-        // Telemetry and model feedback before any lock: the cost model
-        // has its own mutex, and the packets come from the finishing
-        // worker's thread (its trace track).
+        // Telemetry before any lock: the packets come from the
+        // finishing worker's thread (its trace track).
         double hits = 0.0, misses = 0.0;
         if (!error)
             cacheTraffic(result.pass_metrics, hits, misses);
-        if (cost_model && !error) {
-            cost_model->observeCompile(assignment.features, wall_ms,
-                                       static_cast<uint64_t>(hits),
-                                       static_cast<uint64_t>(misses));
-            for (const PassMetric& metric : result.pass_metrics)
-                cost_model->observePass(metric.pass, assignment.features,
-                                        metric.wall_ms);
-        }
         if (!error && hits + misses > 0.0)
             publishEvent(ServiceEventType::CacheStats, entry.job->id,
                          static_cast<int32_t>(entry.index),
@@ -551,6 +518,8 @@ struct CompileService::Impl
             std::lock_guard<std::mutex> lock(m);
             releaseBacklogLocked(entry);
             if (!error) {
+                compile_ms_sum += wall_ms;
+                ++compiles_timed;
                 ShardAccum& acc = shard_accum[s];
                 ++acc.completed;
                 acc.wall_ms += totalWallMs(result.pass_metrics);
@@ -577,91 +546,19 @@ struct CompileService::Impl
                 maybeFinalizeJobLocked(entry.job);
             }
             --in_flight;
-            if (pool)
-                --shard_in_flight[s];
             pumpLocked();
             idle_cv.notify_all();
         }
         fireReadyCallbacks();
     }
 
-    /** shardTelemetry() body, shared with the publisher thread. */
-    std::vector<PassMetric> shardTelemetrySnapshot() const
+    /** Mean compile wall-clock in ns once enough compiles are timed,
+     *  else 0 (m held). */
+    double meanCompileNsLocked() const
     {
-        std::lock_guard<std::mutex> lock(m);
-        std::vector<PassMetric> out;
-        out.reserve(fleet.size());
-        for (size_t s = 0; s < fleet.size(); ++s) {
-            const ShardAccum& acc = shard_accum[s];
-            PassMetric metric{"shard:" + fleet.shard(s).name,
-                              acc.wall_ms,
-                              {}};
-            metric.counters["assigned"] =
-                static_cast<double>(acc.assigned);
-            metric.counters["completed"] =
-                static_cast<double>(acc.completed);
-            metric.counters["queue_ns"] = admitted_ns[s];
-            metric.counters["backlog_ns"] = backlog_ns[s];
-            metric.counters["swaps_inserted"] = acc.swaps;
-            metric.counters["teleports_inserted"] = acc.teleports;
-            metric.counters["epr_attempts"] = acc.epr_attempts;
-            if (acc.completed > 0)
-                metric.counters["mean_estimated_fidelity"] =
-                    acc.est_fid_sum / acc.completed;
-            if (acc.assigned > 0) {
-                metric.counters["mean_predicted_fidelity"] =
-                    acc.pred_fid_sum / acc.assigned;
-                if (cost_model) {
-                    // The cost model's view of the shard's mean
-                    // admitted workload: whole-compile and per-pass
-                    // wall-clock plus the expected warm-cache
-                    // fraction. Cold models simply contribute no
-                    // counters (the predicates below return false).
-                    CompileCostModel::Features mean;
-                    mean.ops = acc.feat_ops_sum / acc.assigned;
-                    mean.two_q = acc.feat_two_q_sum / acc.assigned;
-                    mean.depth = acc.feat_depth_sum / acc.assigned;
-                    double value = 0.0;
-                    if (cost_model->predictCompileMs(
-                            mean, &value,
-                            opts.planner.cost_model_min_samples))
-                        metric.counters["predicted_compile_ms"] = value;
-                    if (cost_model->predictHitRatio(
-                            mean, &value,
-                            opts.planner.cost_model_min_samples))
-                        metric.counters["predicted_hit_ratio"] = value;
-                    for (const std::string& pass :
-                         cost_model->passNames())
-                        if (cost_model->predictPassMs(
-                                pass, mean, &value,
-                                opts.planner.cost_model_min_samples))
-                            metric.counters["predicted_" + pass +
-                                            "_ms"] = value;
-                }
-            }
-            out.push_back(std::move(metric));
-        }
-        return out;
-    }
-
-    /** Publisher thread: deliver periodic snapshots to the sink. */
-    void publisherLoop()
-    {
-        std::unique_lock<std::mutex> lock(pub_m);
-        while (!pub_stop) {
-            pub_cv.wait_for(lock,
-                            std::chrono::duration<double, std::milli>(
-                                opts.telemetry_interval_ms),
-                            [this] { return pub_stop; });
-            if (pub_stop)
-                return;
-            lock.unlock();
-            // The sink runs outside pub_m and m (the snapshot takes m
-            // only while copying), so it may call back into the
-            // service.
-            opts.telemetry_sink(shardTelemetrySnapshot());
-            lock.lock();
-        }
+        if (compiles_timed < kMinTimedCompiles)
+            return 0.0;
+        return compile_ms_sum / static_cast<double>(compiles_timed) * 1e6;
     }
 };
 
@@ -924,27 +821,11 @@ CompileService::CompileService(DeviceFleet fleet, GateSet gate_set,
 
     size_t shards = impl_->fleet.size();
     impl_->queues.resize(shards);
-    impl_->shard_in_flight.assign(shards, 0);
     impl_->backlog_ns.assign(shards, 0.0);
     impl_->admitted_ns.assign(shards, 0.0);
     impl_->shard_accum.resize(shards);
 
     impl_->events = impl_->opts.events;
-    // A borrowed model always observes (and steers only when the
-    // planner knob is on); asking for the knob without providing one
-    // makes the service own a model.
-    impl_->cost_model =
-        impl_->opts.cost_model
-            ? impl_->opts.cost_model
-            : (impl_->opts.planner.use_cost_model ? &impl_->owned_model
-                                                  : nullptr);
-
-    if (impl_->opts.telemetry_interval_ms > 0.0 &&
-        impl_->opts.telemetry_sink) {
-        // Raw capture is safe: shutdown() joins before impl_ dies.
-        Impl* impl = impl_.get();
-        impl_->publisher = std::thread([impl] { impl->publisherLoop(); });
-    }
 }
 
 CompileService::~CompileService()
@@ -989,10 +870,10 @@ CompileService::submit(CompileRequest request)
     // Re-plan on arrival against the current predicted backlog: the
     // plan is cheap and deterministic, and load-balances new work away
     // from busy shards.
-    state->plan =
-        planShardAssignments(state->circuits, impl_->fleet,
-                             impl_->gate_set, impl_->opts.planner,
-                             impl_->backlog_ns, impl_->cost_model);
+    state->plan = planShardAssignments(
+        state->circuits, impl_->fleet, impl_->gate_set,
+        impl_->opts.planner, impl_->backlog_ns,
+        impl_->meanCompileNsLocked());
     ++impl_->submitted;
 
     size_t n = state->circuits.size();
@@ -1059,9 +940,6 @@ CompileService::submit(CompileRequest request)
             impl_->shard_accum[static_cast<size_t>(a.shard)];
         ++acc.assigned;
         acc.pred_fid_sum += a.predicted_fidelity;
-        acc.feat_ops_sum += a.features.ops;
-        acc.feat_two_q_sum += a.features.two_q;
-        acc.feat_depth_sum += a.features.depth;
         impl_->publishEvent(ServiceEventType::Admit, state->id,
                             static_cast<int32_t>(c), a.shard,
                             a.predicted_duration_ns,
@@ -1157,17 +1035,6 @@ CompileService::shutdown()
                    impl_->callback_firers == 0;
         });
     }
-    {
-        std::lock_guard<std::mutex> pl(impl_->pub_m);
-        impl_->pub_stop = true;
-    }
-    impl_->pub_cv.notify_all();
-    if (impl_->publisher.joinable()) {
-        impl_->publisher.join();
-        // One final snapshot so the sink always sees the drained end
-        // state (fires once: joinable() is false from here on).
-        impl_->opts.telemetry_sink(impl_->shardTelemetrySnapshot());
-    }
     if (save)
         impl_->owned_cache.save(
             impl_->opts.cache_path, impl_->fleet.shard(0).options.nuop,
@@ -1196,7 +1063,30 @@ CompileService::stats() const
 std::vector<PassMetric>
 CompileService::shardTelemetry() const
 {
-    return impl_->shardTelemetrySnapshot();
+    std::lock_guard<std::mutex> lock(impl_->m);
+    std::vector<PassMetric> out;
+    out.reserve(impl_->fleet.size());
+    for (size_t s = 0; s < impl_->fleet.size(); ++s) {
+        const Impl::ShardAccum& acc = impl_->shard_accum[s];
+        PassMetric metric{"shard:" + impl_->fleet.shard(s).name,
+                          acc.wall_ms,
+                          {}};
+        metric.counters["assigned"] = static_cast<double>(acc.assigned);
+        metric.counters["completed"] = static_cast<double>(acc.completed);
+        metric.counters["queue_ns"] = impl_->admitted_ns[s];
+        metric.counters["backlog_ns"] = impl_->backlog_ns[s];
+        metric.counters["swaps_inserted"] = acc.swaps;
+        metric.counters["teleports_inserted"] = acc.teleports;
+        metric.counters["epr_attempts"] = acc.epr_attempts;
+        if (acc.completed > 0)
+            metric.counters["mean_estimated_fidelity"] =
+                acc.est_fid_sum / acc.completed;
+        if (acc.assigned > 0)
+            metric.counters["mean_predicted_fidelity"] =
+                acc.pred_fid_sum / acc.assigned;
+        out.push_back(std::move(metric));
+    }
+    return out;
 }
 
 std::vector<std::vector<PassMetric>>
@@ -1226,12 +1116,6 @@ ProfileCache&
 CompileService::profileCache()
 {
     return *impl_->cache;
-}
-
-CompileCostModel*
-CompileService::costModel()
-{
-    return impl_->cost_model;
 }
 
 } // namespace qiset

@@ -15,17 +15,17 @@
  * hit ratio, accumulated PassMetric roll-up). Observability is
  * streaming: an optional EventStream receives one lock-free packet
  * per lifecycle transition and per compiler pass (exportable as a
- * Chrome trace, metrics/trace_export.h), a periodic publisher can
- * push shardTelemetry() snapshots to a sink, and an online cost model
- * (metrics/cost_model.h) learns compile wall-clock from finished work
- * and — behind ShardPlannerOptions::use_cost_model, default off —
- * feeds predictions back into admission planning. Internally the service owns a DeviceFleet, one
- * shared persistable ProfileCache, a worker ThreadPool, and per-shard
- * admission queues keyed by the planner's predicted queue_ns:
- * arriving requests are re-planned against the current backlog (the
- * plan is cheap and deterministic), admission control can reject work
- * whose predicted completion misses its deadline or overflows a
- * backlog cap, and dispatch is FIFO within priority.
+ * Chrome trace, metrics/trace_export.h), and shardTelemetry() returns
+ * per-shard roll-ups on demand. Internally the service owns a
+ * DeviceFleet, one shared persistable ProfileCache, a worker
+ * ThreadPool, and per-shard admission queues keyed by the planner's
+ * predicted queue_ns: arriving requests are re-planned against the
+ * current backlog (the plan is cheap and deterministic), admission
+ * control can reject work whose predicted completion misses its
+ * deadline or overflows a backlog cap, and dispatch is FIFO within
+ * priority. Once 16 circuits have compiled, every re-plan adds the
+ * service's measured mean per-circuit compile time to each
+ * candidate's predicted duration, so the backlog counts worker time.
  *
  * Determinism: per-circuit compiles run the same pass pipeline as
  * compileCircuit() with the same seeded-multistart guarantee, so
@@ -293,24 +293,6 @@ struct CompileServiceOptions
      * affects compile results.
      */
     EventStream* events = nullptr;
-    /**
-     * Borrowed online cost model (must outlive the service). When set
-     * — or when the service owns one because planner.use_cost_model is
-     * on — every finished compile feeds its measured wall-clock,
-     * per-pass breakdown and cache traffic back into the model, and
-     * arrival re-plans consult it per planner.use_cost_model. A
-     * borrowed model with the planner knob off observes without ever
-     * steering (useful for warming a model offline).
-     */
-    CompileCostModel* cost_model = nullptr;
-    /**
-     * When > 0 (ms) and telemetry_sink is set, a service-owned
-     * publisher thread delivers a shardTelemetry() snapshot to the
-     * sink every interval, plus one final snapshot at shutdown after
-     * the drain. The sink runs outside all service locks.
-     */
-    double telemetry_interval_ms = 0.0;
-    std::function<void(std::vector<PassMetric>)> telemetry_sink;
 };
 
 /** Counter snapshot of a service (all monotonic except gauges). */
@@ -411,13 +393,6 @@ class CompileService
     const GateSet& gateSet() const;
     /** The shared profile cache (owned or borrowed). */
     ProfileCache& profileCache();
-
-    /**
-     * The active cost model (borrowed, or service-owned when
-     * planner.use_cost_model is set without one); null when the
-     * service neither observes nor consults a model.
-     */
-    CompileCostModel* costModel();
 
   private:
     friend class CompileJob;

@@ -187,7 +187,7 @@ planShardAssignments(const std::vector<Circuit>& apps,
                      const DeviceFleet& fleet, const GateSet& gate_set,
                      const ShardPlannerOptions& planner,
                      const std::vector<double>& initial_queue_ns,
-                     const CompileCostModel* cost_model)
+                     double compile_ns)
 {
     QISET_REQUIRE(fleet.size() > 0,
                   "cannot plan a sharded batch over an empty fleet");
@@ -222,52 +222,11 @@ planShardAssignments(const std::vector<Circuit>& apps,
         features[c].schedule = Schedule(apps[c]).summary();
     }
 
-    std::vector<CompileCostModel::Features> model_features(apps.size());
-    for (size_t c = 0; c < apps.size(); ++c) {
-        model_features[c].ops = static_cast<double>(apps[c].size());
-        model_features[c].two_q = features[c].two_q;
-        model_features[c].depth = features[c].schedule.depth;
-    }
-
     // All (circuit, shard) candidates up front: cheap (schedule
     // summaries + calibration aggregates), and both policies need the
     // per-pair durations.
     std::vector<std::vector<Candidate>> candidates(apps.size());
     for (size_t c = 0; c < apps.size(); ++c) {
-        // The online cost model's predicted compile wall-clock: a
-        // per-circuit term (the model knows nothing of shards), added
-        // to every feasible candidate so queue_ns reflects the worker
-        // time the compile will actually occupy. A cold model (fewer
-        // than cost_model_min_samples observations) contributes
-        // nothing — the static proxy carries the cold start.
-        double compile_ns = 0.0;
-        if (planner.use_cost_model && cost_model) {
-            double ms = 0.0;
-            if (cost_model->predictCompileMs(
-                    model_features[c], &ms,
-                    planner.cost_model_min_samples)) {
-                // Derate the translation share by the predicted cache
-                // hit ratio: warm-cache lookups skip the BFGS hot path
-                // entirely, so a workload the model expects to hit
-                // mostly warm costs far less worker time than its raw
-                // wall-clock fit suggests. Both sub-models cold (or
-                // the hit model untrained) leave ms untouched — and
-                // the whole term is still gated on use_cost_model, so
-                // knob-off plans stay bit-identical.
-                double translation_ms = 0.0;
-                double hit_ratio = 0.0;
-                if (cost_model->predictPassMs(
-                        "translation", model_features[c],
-                        &translation_ms,
-                        planner.cost_model_min_samples) &&
-                    cost_model->predictHitRatio(
-                        model_features[c], &hit_ratio,
-                        planner.cost_model_min_samples))
-                    ms -= std::max(0.0, translation_ms) * hit_ratio;
-                compile_ns =
-                    planner.cost_model_weight * std::max(0.0, ms) * 1e6;
-            }
-        }
         candidates[c].reserve(fleet.size());
         for (size_t s = 0; s < fleet.size(); ++s) {
             Candidate candidate = scoreCandidate(
@@ -283,7 +242,6 @@ planShardAssignments(const std::vector<Circuit>& apps,
         plan.assignments[c].shard = static_cast<int>(s);
         plan.assignments[c].predicted_fidelity = candidate.fidelity;
         plan.assignments[c].predicted_duration_ns = candidate.duration_ns;
-        plan.assignments[c].features = model_features[c];
         plan.queues[s].push_back(c);
         plan.queue_ns[s] += candidate.duration_ns;
     };

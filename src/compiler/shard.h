@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "compiler/pipeline.h"
-#include "metrics/cost_model.h"
 
 namespace qiset {
 
@@ -97,34 +96,6 @@ struct ShardPlannerOptions
     double fidelity_weight = 1.0;
     /** Weight of the normalized queue-load penalty. */
     double load_weight = 1.0;
-    /**
-     * Add the online cost model's predicted compile wall-clock (see
-     * metrics/cost_model.h) to every candidate's predicted duration,
-     * making the planner self-calibrating under real traffic: the
-     * compile time the service's workers actually spend — not just
-     * the circuit's own critical path — drives load balancing and
-     * admission. Off by default, and inert until a model is passed to
-     * planShardAssignments (the CompileService does this
-     * automatically); **with the knob off the plan — and therefore
-     * every compile result — is bit-identical to a model-free plan.**
-     */
-    bool use_cost_model = false;
-    /** Scale of the predicted-compile-time term, in queue-ns per
-     *  predicted compile-ns (1.0 = count compile time at par). */
-    double cost_model_weight = 1.0;
-    /** Observations the model needs before its term switches on (the
-     *  static proxy alone carries the cold start). */
-    uint64_t cost_model_min_samples = 16;
-    /**
-     * Cap on the circuits of one shard the CompileService will hold
-     * in flight simultaneously (0 = unlimited, the default). A planner
-     * option rather than a service one because it shapes the same
-     * trade the planner's load term does — per-shard backlog versus
-     * fleet throughput — and rides the same options plumbing into the
-     * service. Inert outside the threaded service dispatch loop
-     * (inline compiles are strictly sequential already).
-     */
-    size_t max_in_flight_per_shard = 0;
 };
 
 /** One circuit's planned placement. */
@@ -135,18 +106,10 @@ struct ShardAssignment
     /** Product-model fidelity estimate on that shard. */
     double predicted_fidelity = 0.0;
     /**
-     * Schedule-derived compile/queue cost estimate on that shard
-     * (plus the cost model's predicted compile time, when the planner
-     * runs with use_cost_model and a warmed-up model).
+     * Schedule-derived compile/queue cost estimate on that shard, plus
+     * the measured per-circuit compile time the planner was given.
      */
     double predicted_duration_ns = 0.0;
-    /**
-     * The circuit's workload features (ops / 2Q ops / logical depth),
-     * captured at plan time so the service can feed the compile's
-     * measured wall-clock back into the online cost model without
-     * re-deriving them.
-     */
-    CompileCostModel::Features features;
 };
 
 /** Output of the shard planner. */
@@ -175,12 +138,13 @@ struct ShardPlan
  * greedy policy steers new work away from busy shards. The returned
  * plan's queue_ns is cumulative (initial load plus this workload).
  *
- * `cost_model`, combined with `planner.use_cost_model`, adds the
- * model's predicted compile wall-clock to every candidate duration
- * (the term is per-circuit — the model is options-agnostic — so it
- * shifts load balance and admission backlog, never the relative
- * fidelity ranking). Null, a cold model, or the knob off leave the
- * plan bit-identical to the static proxy.
+ * `compile_ns` is added to every feasible candidate's duration: the
+ * CompileService passes its measured mean per-circuit compile time, so
+ * queue_ns counts the worker time a compile occupies, not just the
+ * circuit's own critical path. The term is the same for every
+ * candidate, so it shifts load balance and admission backlog, never
+ * the fidelity ranking. 0 (the default) plans on the static proxy
+ * alone.
  */
 ShardPlan planShardAssignments(const std::vector<Circuit>& apps,
                                const DeviceFleet& fleet,
@@ -189,8 +153,7 @@ ShardPlan planShardAssignments(const std::vector<Circuit>& apps,
                                    ShardPlannerOptions(),
                                const std::vector<double>&
                                    initial_queue_ns = {},
-                               const CompileCostModel* cost_model =
-                                   nullptr);
+                               double compile_ns = 0.0);
 
 /**
  * True when two NuOp option sets produce interchangeable cached

@@ -1,7 +1,11 @@
-// Profile-cache tests: counters, eviction, concurrency, persistence.
+// Profile-cache tests: counters, eviction, concurrency, persistence,
+// and rejection of corrupt save files.
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -280,6 +284,136 @@ TEST(ProfileCacheCore, LoadRejectsMismatchedStrategy)
     EXPECT_TRUE(fresh.load(file.path, fastNuOp(),
                            *makeDecompositionStrategy("nuop")));
     EXPECT_EQ(fresh.stats().loaded, 1u);
+}
+
+/** Whole contents of a file. */
+std::string
+readFile(const std::string& path)
+{
+    std::ifstream is(path);
+    return std::string(std::istreambuf_iterator<char>(is),
+                       std::istreambuf_iterator<char>());
+}
+
+void
+writeFile(const std::string& path, const std::string& text)
+{
+    std::ofstream os(path);
+    os << text;
+}
+
+/** Offset just past the newline that ends the line at `pos`. */
+size_t
+nextLine(const std::string& text, size_t pos)
+{
+    return text.find('\n', pos) + 1;
+}
+
+/**
+ * Hostile-input fixture: a saved one-entry v3 file (a CZ profile of
+ * zz(0.3)) that each test edits, and a cache holding one unrelated
+ * entry that a rejected load must leave exactly as it was.
+ */
+class ProfileCacheCorruptFile : public ::testing::Test
+{
+  protected:
+    void SetUp() override
+    {
+        ProfileCache source;
+        source.get(zz(0.3), czSpec(), decomposer_);
+        ASSERT_TRUE(source.save(file_.path, fastNuOp()));
+        saved_ = readFile(file_.path);
+        target_.get(zz(0.7), czSpec(), decomposer_);
+    }
+
+    /** Write `text` over the file; true when load() accepted it. */
+    bool loads(const std::string& text)
+    {
+        writeFile(file_.path, text);
+        bool ok = target_.load(file_.path, fastNuOp());
+        if (!ok) {
+            EXPECT_EQ(target_.size(), 1u);
+            EXPECT_EQ(target_.stats().loaded, 0u);
+        }
+        return ok;
+    }
+
+    /** Offset of the entry's family line: past the four header lines
+     *  and the three length-prefixed strings (key, type, engine). */
+    size_t familyLine() const
+    {
+        size_t pos = 0;
+        for (int line = 0; line < 4; ++line)
+            pos = nextLine(saved_, pos);
+        for (int field = 0; field < 3; ++field) {
+            size_t len = std::stoul(saved_.substr(pos));
+            pos = nextLine(saved_, pos) + len + 1;
+        }
+        return pos;
+    }
+
+    /** The saved file with its last fit line's tokens replaced. */
+    std::string withLastFit(
+        const std::function<void(std::vector<std::string>&)>& edit) const
+    {
+        size_t start = saved_.rfind('\n', saved_.size() - 2) + 1;
+        std::istringstream line(saved_.substr(start));
+        std::vector<std::string> tokens;
+        for (std::string token; line >> token;)
+            tokens.push_back(token);
+        edit(tokens);
+        std::string out = saved_.substr(0, start);
+        for (size_t i = 0; i < tokens.size(); ++i)
+            out += (i ? " " : "") + tokens[i];
+        return out + "\n";
+    }
+
+    NuOpDecomposer decomposer_{fastNuOp()};
+    TempFile file_{"qiset_profile_cache_corrupt.txt"};
+    std::string saved_;
+    ProfileCache target_;
+};
+
+TEST_F(ProfileCacheCorruptFile, UneditedFileLoads)
+{
+    EXPECT_TRUE(loads(saved_));
+    EXPECT_EQ(target_.size(), 2u);
+}
+
+TEST_F(ProfileCacheCorruptFile, RejectsOutOfRangeFamily)
+{
+    size_t pos = familyLine();
+    std::string edited = saved_;
+    edited.replace(pos, nextLine(saved_, pos) - 1 - pos, "7");
+    EXPECT_FALSE(loads(edited));
+}
+
+TEST_F(ProfileCacheCorruptFile, RejectsParamCountOffTheTemplate)
+{
+    // Drop one param and decrement its count: self-consistent, but one
+    // short of what the fit's template takes.
+    EXPECT_FALSE(loads(withLastFit([](std::vector<std::string>& t) {
+        t[2] = std::to_string(std::stoul(t[2]) - 1);
+        t.pop_back();
+    })));
+}
+
+TEST_F(ProfileCacheCorruptFile, RejectsNegativeLayersAndNonFiniteFd)
+{
+    EXPECT_FALSE(loads(withLastFit(
+        [](std::vector<std::string>& t) { t[0] = "-1"; })));
+    EXPECT_FALSE(loads(withLastFit(
+        [](std::vector<std::string>& t) { t[1] = "1e999"; })));
+}
+
+TEST_F(ProfileCacheCorruptFile, RejectsTruncationAtEveryLineBoundary)
+{
+    EXPECT_FALSE(loads(""));
+    for (size_t nl = saved_.find('\n'); nl + 1 < saved_.size();
+         nl = saved_.find('\n', nl + 1)) {
+        SCOPED_TRACE("truncated to " + std::to_string(nl + 1) + " bytes");
+        EXPECT_FALSE(loads(saved_.substr(0, nl + 1)));
+    }
 }
 
 TEST(ProfileCacheCore, StripeContentionKeepsExactCounts)

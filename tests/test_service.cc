@@ -3,8 +3,9 @@
 // control, bit-identity of service results with compileCircuit, job
 // telemetry (queue wait, shard ids, cache hit ratio) flowing through
 // accumulatePassMetrics, cache persistence across service restarts,
-// and concurrent submitters hammering one service (the ASan/UBSan CI
-// leg runs this file too, so data races fail loudly).
+// the measured compile-time term in arrival plans, and concurrent
+// submitters hammering one service (the ASan/UBSan CI leg runs this
+// file too, so data races fail loudly).
 
 #include <atomic>
 #include <chrono>
@@ -625,6 +626,42 @@ TEST(CompileService, InlineModeFiresCallbackBeforeSubmitReturns)
     };
     service.submit(std::move(request));
     EXPECT_TRUE(fired);
+}
+
+TEST(CompileService, PlansAddMeasuredMeanCompileTimeAfterWarmup)
+{
+    GateSet set = isa::rigettiSet(1);
+    DeviceFleet fleet(fastCompile());
+    fleet.addDevice(lineDevice("alpha", 4, 0.995));
+    std::vector<Circuit> apps = makeWorkload(18, 3);
+    CompileService service(fleet, set, CompileServiceOptions());
+
+    double wall_ms_sum = 0.0;
+    for (size_t i = 0; i < apps.size(); ++i) {
+        SCOPED_TRACE("circuit " + std::to_string(i + 1));
+        CompileJob job = service.submit(requestFor({apps[i]}));
+        ASSERT_EQ(job.poll(), JobStatus::Done);
+        double static_ns = planShardAssignments({apps[i]}, fleet, set)
+                               .assignments[0]
+                               .predicted_duration_ns;
+        double planned_ns = job.plan().assignments[0].predicted_duration_ns;
+        // The first 16 plans run on the static proxy alone; from then
+        // on every plan adds the mean measured compile time so far.
+        if (i < 16) {
+            EXPECT_EQ(planned_ns, static_ns);
+        } else {
+            EXPECT_NEAR(planned_ns,
+                        static_ns + wall_ms_sum / i * 1e6, 1.0);
+            // The term steers planning only; results stay those of a
+            // solo compile.
+            ProfileCache solo_cache;
+            expectIdentical(compileCircuit(apps[i], fleet.shard(0).device,
+                                           set, solo_cache,
+                                           fleet.shard(0).options),
+                            job.results()[0]);
+        }
+        wall_ms_sum += job.stats().compile_wall_ms;
+    }
 }
 
 } // namespace

@@ -257,6 +257,73 @@ TEST(ShardPlan, SkipsShardsTooSmallAndThrowsWhenNoneFit)
     EXPECT_ANY_THROW(planShardAssignments(apps, fleet, set, bad));
 }
 
+TEST(ShardPlan, ZeroCompileTimeTermPlansOnTheStaticProxy)
+{
+    GateSet set = isa::rigettiSet(1);
+    DeviceFleet fleet(fastCompile());
+    fleet.addDevice(lineDevice("alpha", 4, 0.995));
+    fleet.addDevice(lineDevice("beta", 4, 0.990));
+    std::vector<Circuit> apps = makeWorkload(6, 3);
+
+    // Golden plan of the static schedule proxy for this workload and
+    // backlog; a zero compile-time term must reproduce it bit for bit.
+    const std::vector<int> shards = {1, 1, 1, 0, 1, 0};
+    const double qft_beta = 0.94006863516932504;
+    const double qaoa_beta = 0.93865923715053901;
+    const double qaoa_alpha = 0.96746502830008552;
+    const std::vector<double> fidelities = {qft_beta,  qaoa_beta,
+                                            qft_beta,  qaoa_alpha,
+                                            qft_beta,  qaoa_alpha};
+    auto expectGolden = [&](const ShardPlan& plan) {
+        ASSERT_EQ(plan.assignments.size(), shards.size());
+        for (size_t i = 0; i < shards.size(); ++i) {
+            EXPECT_EQ(plan.assignments[i].shard, shards[i]);
+            EXPECT_EQ(plan.assignments[i].predicted_fidelity,
+                      fidelities[i]);
+            EXPECT_EQ(plan.assignments[i].predicted_duration_ns, 300.0);
+        }
+        EXPECT_EQ(plan.queue_ns, (std::vector<double>{1500.0, 1200.0}));
+    };
+    const std::vector<double> backlog = {900.0, 0.0};
+    ShardPlannerOptions planner;
+    expectGolden(planShardAssignments(apps, fleet, set, planner, backlog));
+    expectGolden(
+        planShardAssignments(apps, fleet, set, planner, backlog, 0.0));
+}
+
+TEST(ShardPlan, CompileTimeTermShiftsDurationsNotFidelity)
+{
+    GateSet set = isa::rigettiSet(1);
+    DeviceFleet fleet(fastCompile());
+    fleet.addDevice(lineDevice("alpha", 4, 0.995));
+    fleet.addDevice(lineDevice("beta", 4, 0.990));
+    std::vector<Circuit> apps = makeWorkload(6, 3);
+    const double compile_ns = 3.5e6;
+
+    // Policies whose placements do not depend on durations, so every
+    // circuit lands on the same shard with and without the term.
+    ShardPlannerOptions round_robin;
+    round_robin.policy = "round-robin";
+    ShardPlannerOptions fidelity_only;
+    fidelity_only.load_weight = 0.0;
+    for (const ShardPlannerOptions& planner : {round_robin, fidelity_only}) {
+        SCOPED_TRACE("policy " + planner.policy);
+        ShardPlan base = planShardAssignments(apps, fleet, set, planner);
+        ShardPlan timed = planShardAssignments(apps, fleet, set, planner,
+                                               {}, compile_ns);
+        ASSERT_EQ(timed.assignments.size(), base.assignments.size());
+        for (size_t i = 0; i < base.assignments.size(); ++i) {
+            ASSERT_EQ(timed.assignments[i].shard,
+                      base.assignments[i].shard);
+            EXPECT_EQ(timed.assignments[i].predicted_duration_ns,
+                      base.assignments[i].predicted_duration_ns +
+                          compile_ns);
+            EXPECT_EQ(timed.assignments[i].predicted_fidelity,
+                      base.assignments[i].predicted_fidelity);
+        }
+    }
+}
+
 // -------------------------------------------------------- execution
 
 TEST(CompileBatchSharded, BitIdenticalToSingleDeviceCompiles)
