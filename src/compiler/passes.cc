@@ -255,6 +255,8 @@ class TranslationPass : public Pass
         }
         // This circuit's own traffic (the shared cache's global stats
         // also include concurrently-compiling circuits).
+        ctx.reportCounter("distinct_blocks",
+                          static_cast<double>(translated.distinct_blocks));
         ctx.reportCounter("cache_hits",
                           static_cast<double>(translated.cache_hits));
         ctx.reportCounter("cache_misses",

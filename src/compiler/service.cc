@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <mutex>
 
@@ -51,6 +52,18 @@ cacheTraffic(const std::vector<PassMetric>& metrics, double& hits,
         if (miss != metric.counters.end())
             misses += miss->second;
     }
+}
+
+/** True when no op matrix of the circuit has a NaN or inf entry. */
+bool
+allOpsFinite(const Circuit& circuit)
+{
+    for (const Matrix& unitary : circuit.opUnitaries())
+        for (size_t k = 0; k < unitary.size(); ++k)
+            if (!std::isfinite(unitary.data()[k].real()) ||
+                !std::isfinite(unitary.data()[k].imag()))
+                return false;
+    return true;
 }
 
 } // namespace
@@ -850,6 +863,11 @@ CompileService::submit(CompileRequest request)
         // an unknown name should reject at submit, not mid-compile.
         makeDecompositionStrategy(request.options->decomposition);
     }
+    // A non-finite entry would poison cache keys and the optimizer
+    // mid-compile; reject it before the request touches shared state.
+    for (size_t c = 0; c < request.circuits.size(); ++c)
+        QISET_REQUIRE(allOpsFinite(request.circuits[c]), "circuit ", c,
+                      " has an op matrix with a NaN or inf entry");
 
     auto state = std::make_shared<CompileJob::State>();
     state->circuits = std::move(request.circuits);

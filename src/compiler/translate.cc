@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
-#include <set>
 
 #include "common/error.h"
 #include "nuop/template_circuit.h"
@@ -126,14 +126,72 @@ namespace {
 /**
  * Local factors re-dressing a canonical-representative circuit into
  * the concrete target: target == phase * left * representative *
- * right, split into per-qubit U3 corrections.
+ * right, split into per-qubit U3 corrections. `fallback` marks a
+ * target whose solve failed and that is profiled raw under NuOp.
  */
 struct TargetDressing
 {
     bool active = false;
+    bool fallback = false;
     Matrix pre_a, pre_b;   // merged into the first U3 pair
     Matrix post_a, post_b; // merged into the last U3 pair
 };
+
+/**
+ * Canonicalizing strategies store profiles against the Weyl-chamber
+ * representative; recover the local factors that dress it back into
+ * this exact target. A failed solve (never observed, but numerically
+ * conceivable) marks the target for a raw-keyed NuOp fallback.
+ */
+TargetDressing
+solveDressing(const Matrix& target, const DecompositionStrategy& strategy)
+{
+    TargetDressing dressing;
+    Matrix representative = strategy.profileTarget(target);
+    if (representative.maxAbsDiff(target) == 0.0)
+        return dressing;
+    LocalEquivalence equivalence =
+        localFactorsBetween(representative, target);
+    bool usable = equivalence.ok &&
+                  ((equivalence.left * representative *
+                    equivalence.right) *
+                   equivalence.phase)
+                          .maxAbsDiff(target) < 1e-6;
+    if (!usable) {
+        dressing.fallback = true;
+        return dressing;
+    }
+    dressing.active = true;
+    auto post = decomposeLocalUnitary(equivalence.left);
+    auto pre = decomposeLocalUnitary(equivalence.right);
+    dressing.post_a = std::move(post.first);
+    dressing.post_b = std::move(post.second);
+    dressing.pre_a = std::move(pre.first);
+    dressing.pre_b = std::move(pre.second);
+    return dressing;
+}
+
+/** Hash of a matrix's exact element bytes (signed zeros differ). */
+uint64_t
+hashBytes(const Matrix& m)
+{
+    const auto* bytes = reinterpret_cast<const unsigned char*>(m.data());
+    uint64_t h = 0x9e3779b97f4a7c15ull ^ m.size();
+    for (size_t i = 0; i < m.size() * sizeof(cplx); i += sizeof(h)) {
+        uint64_t word;
+        std::memcpy(&word, bytes + i, sizeof(word));
+        h = (h ^ word) * 0xff51afd7ed558ccdull;
+        h ^= h >> 32;
+    }
+    return h;
+}
+
+bool
+sameBytes(const Matrix& a, const Matrix& b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
 
 } // namespace
 
@@ -164,27 +222,51 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
         return label == teleport_label || label == teleswap_label;
     };
 
-    // Profile sweep: exactly one cache lookup per (2Q block, spec).
-    // handles[block * num_specs + g] is the block's profile under
-    // specs[g]; the table keeps every profile alive through selection
-    // and emission even if a bounded cache evicts the entry meanwhile.
-    // Only the unitary column is read, and pointers into it stay valid
-    // for the whole call (the routed circuit is not mutated).
+    // Dedupe: group the 2Q blocks by the exact bytes of their unitary
+    // in a flat open-addressing table (load <= 1/2, slot = distinct id
+    // + 1, 0 = empty). distinct_of[block] names the block's distinct
+    // unitary, numbered in first-occurrence order. Byte-equal blocks
+    // share every cache key, so serving them from one lookup leaves
+    // the output bit-identical. Only the unitary column is read, and
+    // pointers into it stay valid for the whole call (the routed
+    // circuit is not mutated).
     const auto& op_qubits = routed.opQubits();
     const auto& op_labels = routed.opLabels();
     const auto& op_unitaries = routed.opUnitaries();
-    std::vector<const Matrix*> block_unitaries;
-    block_unitaries.reserve(
-        static_cast<size_t>(routed.twoQubitGateCount()));
-    for (size_t i = 0; i < op_qubits.size(); ++i)
-        if (op_qubits[i].isTwoQubit() && !is_link(op_labels[i]))
-            block_unitaries.push_back(&op_unitaries[i]);
+    size_t max_blocks = static_cast<size_t>(routed.twoQubitGateCount());
+    size_t table_size = 1;
+    while (table_size < 2 * max_blocks)
+        table_size <<= 1;
+    std::vector<uint32_t> slots(table_size, 0);
+    std::vector<uint32_t> distinct_of;
+    distinct_of.reserve(max_blocks);
+    std::vector<const Matrix*> distinct;
+    distinct.reserve(max_blocks);
+    for (size_t i = 0; i < op_qubits.size(); ++i) {
+        if (!op_qubits[i].isTwoQubit() || is_link(op_labels[i]))
+            continue;
+        const Matrix& unitary = op_unitaries[i];
+        size_t slot = hashBytes(unitary) & (table_size - 1);
+        while (slots[slot] != 0 &&
+               !sameBytes(*distinct[slots[slot] - 1], unitary))
+            slot = (slot + 1) & (table_size - 1);
+        if (slots[slot] == 0) {
+            distinct.push_back(&unitary);
+            slots[slot] = static_cast<uint32_t>(distinct.size());
+        }
+        distinct_of.push_back(slots[slot] - 1);
+    }
 
+    // Profile sweep: exactly one cache lookup per (distinct unitary,
+    // spec). handles[d * num_specs + g] is distinct unitary d's profile
+    // under specs[g]; the table keeps every profile alive through
+    // selection and emission even if a bounded cache evicts the entry
+    // meanwhile.
     LocalCacheCounters local;
     std::vector<std::shared_ptr<const GateProfile>> handles(
-        block_unitaries.size() * num_specs);
+        distinct.size() * num_specs);
     auto fetch = [&](size_t index) {
-        handles[index] = cache.get(*block_unitaries[index / num_specs],
+        handles[index] = cache.get(*distinct[index / num_specs],
                                    specs[index % num_specs], decomposer,
                                    strategy, &local);
     };
@@ -203,6 +285,14 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
     } else {
         for (size_t i = 0; i < handles.size(); ++i)
             fetch(i);
+    }
+
+    // One dressing solve (and fallback verdict) per distinct unitary.
+    std::vector<TargetDressing> dressings;
+    if (strategy.canonicalizesTargets()) {
+        dressings.reserve(distinct.size());
+        for (const Matrix* unitary : distinct)
+            dressings.push_back(solveDressing(*unitary, strategy));
     }
 
     int n = routed.numQubits();
@@ -228,7 +318,7 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
     // warm-compile allocation profile). The stored choices are reused
     // by the emission loop below.
     std::vector<GateChoice> block_choices;
-    block_choices.reserve(block_unitaries.size());
+    block_choices.reserve(distinct_of.size());
     size_t exact_ops = 0;
     for (const auto& op : routed.ops()) {
         if (!op.isTwoQubit() || is_link(op.labelId())) {
@@ -238,7 +328,8 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
         Qubits qs = op.qubits();
         int pa = physical[qs[0]];
         int pb = physical[qs[1]];
-        const auto* block = &handles[block_choices.size() * num_specs];
+        const auto* block =
+            &handles[distinct_of[block_choices.size()] * num_specs];
         profiles.clear();
         fidelities.clear();
         for (size_t g = 0; g < num_specs; ++g) {
@@ -281,55 +372,26 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
         int pa = physical[ra];
         int pb = physical[rb];
 
-        // Canonicalizing strategies store profiles against the
-        // Weyl-chamber representative; recover the local factors that
-        // dress it back into this exact target. A failed solve (never
-        // observed, but numerically conceivable) falls back to a
-        // raw-keyed NuOp profile for this op.
-        const DecompositionStrategy* op_strategy = &strategy;
-        TargetDressing dressing;
-        if (strategy.canonicalizesTargets()) {
-            Matrix representative = strategy.profileTarget(op_unitary);
-            if (representative.maxAbsDiff(op_unitary) > 0.0) {
-                LocalEquivalence equivalence =
-                    localFactorsBetween(representative, op_unitary);
-                bool usable =
-                    equivalence.ok &&
-                    ((equivalence.left * representative *
-                      equivalence.right) *
-                     equivalence.phase)
-                            .maxAbsDiff(op_unitary) < 1e-6;
-                if (usable) {
-                    dressing.active = true;
-                    auto post = decomposeLocalUnitary(equivalence.left);
-                    auto pre = decomposeLocalUnitary(equivalence.right);
-                    dressing.post_a = std::move(post.first);
-                    dressing.post_b = std::move(post.second);
-                    dressing.pre_a = std::move(pre.first);
-                    dressing.pre_b = std::move(pre.second);
-                } else {
-                    op_strategy = &nuopDecompositionStrategy();
-                    ++result.dressing_fallbacks;
-                }
-            }
-        }
+        const TargetDressing* dressing =
+            dressings.empty() ? nullptr
+                              : &dressings[distinct_of[block_index]];
 
         // The pre-pass already selected this block's gate under the
         // primary strategy; only the (numerically conceivable, never
-        // observed) dressing fallback re-selects here, against the
-        // raw-keyed profiles its op_strategy switch demands. Holders
-        // keep those profiles alive across selection even if a bounded
-        // cache evicts the entries concurrently.
+        // observed) dressing fallback re-selects here, against
+        // raw-keyed NuOp profiles. Holders keep those profiles alive
+        // across selection even if a bounded cache evicts the entries
+        // concurrently.
         GateChoice choice;
-        if (op_strategy == &strategy) {
-            choice = block_choices[block_index];
-        } else {
+        if (dressing && dressing->fallback) {
+            ++result.dressing_fallbacks;
             holders.clear();
             profiles.clear();
             fidelities.clear();
             for (const auto& spec : specs) {
                 holders.push_back(cache.get(op_unitary, spec, decomposer,
-                                            *op_strategy, &local));
+                                            nuopDecompositionStrategy(),
+                                            &local));
                 profiles.push_back(holders.back().get());
                 fidelities.push_back(
                     device.edgeFidelity(pa, pb, spec.type_name));
@@ -337,6 +399,8 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
             choice =
                 selectGate(profiles, fidelities, f1q_avg, approximate,
                            decomposer.options().exact_threshold);
+        } else {
+            choice = block_choices[block_index];
         }
         ++block_index;
 
@@ -350,15 +414,15 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
                 ? TwoQubitTemplate(fit.layers, profile.unitary)
                 : TwoQubitTemplate(fit.layers, profile.family);
         templ.u3MatricesInto(fit.params, u3s);
-        if (dressing.active) {
+        if (dressing && dressing->active) {
             // C' = post . C . pre implements the target exactly when C
             // implements the representative (Fd is invariant under
             // local dressing, so the profiled fidelities carry over).
-            u3s[0] = u3s[0] * dressing.pre_a;
-            u3s[1] = u3s[1] * dressing.pre_b;
-            u3s[2 * fit.layers] = dressing.post_a * u3s[2 * fit.layers];
+            u3s[0] = u3s[0] * dressing->pre_a;
+            u3s[1] = u3s[1] * dressing->pre_b;
+            u3s[2 * fit.layers] = dressing->post_a * u3s[2 * fit.layers];
             u3s[2 * fit.layers + 1] =
-                dressing.post_b * u3s[2 * fit.layers + 1];
+                dressing->post_b * u3s[2 * fit.layers + 1];
         }
 
         emit_1q(ra, u3s[0], u3_label);
@@ -381,6 +445,7 @@ translateCircuit(const Circuit& routed, const std::vector<int>& physical,
         }
         result.estimated_fidelity *= fit.fd;
     }
+    result.distinct_blocks = static_cast<int>(distinct.size());
     result.cache_hits = local.hits.load();
     result.cache_misses = local.misses.load();
     return result;

@@ -71,11 +71,16 @@ struct TranslateResult
     /**
      * Profile-cache traffic of *this* translation only (global cache
      * stats also include concurrently-compiling circuits): one lookup
-     * per (2Q block, gate spec), plus one per spec for each dressing
-     * fallback below.
+     * per (distinct 2Q unitary, gate spec), plus one per spec for each
+     * dressing fallback below.
      */
     uint64_t cache_hits = 0;
     uint64_t cache_misses = 0;
+    /**
+     * Distinct 2Q unitaries (by exact bytes) among the decomposed
+     * blocks: the number of profile lookups per gate spec.
+     */
+    int distinct_blocks = 0;
     /** 2Q blocks served by the analytic engine (engine == "kak"). */
     int analytic_ops = 0;
     /**
@@ -98,13 +103,17 @@ struct TranslateResult
  * the Weyl-chamber representative and is re-dressed here with the
  * exact local factors of each concrete target.
  *
- * Each (2Q block, gate spec) profile is fetched from the cache exactly
- * once per call; inter-core link ops (TELEPORT/TELESWAP) are already
- * native and are never profiled. The fetch sweep fans out across the
- * pool when given (cooperatively — safe even when the caller is itself
- * a pool worker); `max_parallelism` caps the threads it uses,
- * including the caller (0 = no cap, 1 = serial). Selection and
- * emission stay serial, so the result is bit-identical either way.
+ * Blocks are grouped by the exact bytes of their unitary (signed
+ * zeros included), and each (distinct unitary, gate spec) profile is
+ * fetched from the cache exactly once per call, as is the dressing
+ * solve of a canonicalizing strategy; selection stays per block
+ * because edge fidelities differ. Inter-core link ops
+ * (TELEPORT/TELESWAP) are already native and are never profiled. The
+ * fetch sweep fans out across the pool when given (cooperatively —
+ * safe even when the caller is itself a pool worker);
+ * `max_parallelism` caps the threads it uses, including the caller
+ * (0 = no cap, 1 = serial). Selection and emission stay serial, so
+ * the result is bit-identical either way.
  */
 TranslateResult translateCircuit(const Circuit& routed,
                                  const std::vector<int>& physical,

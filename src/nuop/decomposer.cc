@@ -41,7 +41,11 @@ hashMatrix(uint64_t hash, const Matrix& m)
 {
     hash = fnvMix(hash, m.rows());
     hash = fnvMix(hash, m.cols());
-    std::string form = quantizedForm(m);
+    // Every layer-count fit seeds through here; a reused per-thread
+    // buffer keeps that off the allocator (same bytes, same seeds).
+    thread_local std::string form;
+    form.clear();
+    appendQuantizedForm(form, m);
     return fnvMix(hash, form.data(), form.size());
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 #include "common/error.h"
@@ -363,17 +364,73 @@ quantizedForm(const Matrix& m, int decimals)
     return out;
 }
 
+namespace {
+
+/**
+ * Render v as "%.9f" at `p` and return the end, or nullptr when the
+ * integer path cannot prove it matches printf byte for byte. printf
+ * rounds the exact binary value to nearest; here |v| < 2 keeps
+ * |v|*1e9 below 2^31, so the one rounding in that product errs by at
+ * most 2^-23 and can only flip the decimal rounding within that of a
+ * half-way tie — those are left to printf, as are |v| >= 2, inf and
+ * NaN. The sign is the sign bit, so -0.0 and tiny negatives render
+ * "-0.000000000" as printf does.
+ */
+char*
+renderFixed9(char* p, double v)
+{
+    double magnitude = std::fabs(v);
+    if (!(magnitude < 2.0))
+        return nullptr;
+    double scaled = magnitude * 1e9;
+    auto units = static_cast<uint32_t>(scaled);
+    double frac = scaled - static_cast<double>(units); // exact
+    if (std::fabs(frac - 0.5) < 1e-6)
+        return nullptr;
+    if (frac > 0.5)
+        ++units;
+    if (std::signbit(v))
+        *p++ = '-';
+    *p++ = static_cast<char>('0' + units / 1000000000u);
+    *p++ = '.';
+    uint32_t fraction = units % 1000000000u;
+    for (int digit = 8; digit >= 0; --digit) {
+        p[digit] = static_cast<char>('0' + fraction % 10);
+        fraction /= 10;
+    }
+    return p + 9;
+}
+
+} // namespace
+
 void
 appendQuantizedForm(std::string& out, const Matrix& m, int decimals)
 {
-    char buf[64];
+    char buf[32]; // "-d.ddddddddd,-d.ddddddddd;" is 26 bytes
     for (size_t i = 0; i < m.rows(); ++i)
         for (size_t j = 0; j < m.cols(); ++j) {
             const cplx& v = m(i, j);
-            int len = std::snprintf(buf, sizeof(buf), "%.*f,%.*f;",
-                                    decimals, v.real(), decimals,
-                                    v.imag());
-            out.append(buf, static_cast<size_t>(len));
+            char* end = decimals == 9 ? renderFixed9(buf, v.real())
+                                      : nullptr;
+            if (end) {
+                *end++ = ',';
+                end = renderFixed9(end, v.imag());
+            }
+            if (end) {
+                *end++ = ';';
+                out.append(buf, static_cast<size_t>(end - buf));
+                continue;
+            }
+            // printf path: measure first, since huge magnitudes print
+            // hundreds of digits, then render straight into the output.
+            auto len = static_cast<size_t>(
+                std::snprintf(nullptr, 0, "%.*f,%.*f;", decimals,
+                              v.real(), decimals, v.imag()));
+            size_t at = out.size();
+            out.resize(at + len + 1);
+            std::snprintf(&out[at], len + 1, "%.*f,%.*f;", decimals,
+                          v.real(), decimals, v.imag());
+            out.resize(at + len);
         }
 }
 

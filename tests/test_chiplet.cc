@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <set>
 #include <string>
@@ -335,17 +336,29 @@ class BlockCountingPass : public Pass
 
     std::string name() const override { return "count-blocks"; }
 
+    /** Counts bitwise-distinct non-link 2Q unitaries, and link ops. */
     void run(CompilationContext& ctx) override
     {
         static const LabelId teleport = internLabel("TELEPORT");
         static const LabelId teleswap = internLabel("TELESWAP");
+        std::vector<const Matrix*> seen;
         for (const auto& op : ctx.circuit.ops()) {
             if (!op.isTwoQubit())
                 continue;
-            bool link =
-                op.labelId() == teleport || op.labelId() == teleswap;
-            ++*(link ? links_ : blocks_);
+            if (op.labelId() == teleport || op.labelId() == teleswap) {
+                ++*links_;
+                continue;
+            }
+            const Matrix& u = op.unitary();
+            bool repeat = std::any_of(
+                seen.begin(), seen.end(), [&u](const Matrix* other) {
+                    return std::memcmp(other->data(), u.data(),
+                                       u.size() * sizeof(cplx)) == 0;
+                });
+            if (!repeat)
+                seen.push_back(&u);
         }
+        *blocks_ = seen.size();
     }
 
   private:
@@ -356,8 +369,9 @@ class BlockCountingPass : public Pass
 TEST(ChipletPipeline, TranslationNeverProfilesLinkOps)
 {
     // Link ops pass through translation untouched, so they must cost
-    // no profile lookups: the cache sees one lookup per (decomposed
-    // 2Q block, gate spec) and nothing for TELEPORT/TELESWAP.
+    // no profile lookups: the cache sees one lookup per (distinct
+    // decomposed 2Q unitary, gate spec) and nothing for
+    // TELEPORT/TELESWAP.
     Device d = chiplet2x2();
     GateSet set = isa::singleTypeSet(3);
     ProfileCache cache;
@@ -376,10 +390,14 @@ TEST(ChipletPipeline, TranslationNeverProfilesLinkOps)
     ASSERT_GT(links, 0u);
 
     double lookups = -1.0;
+    double distinct = -1.0;
     for (const PassMetric& metric : result.pass_metrics)
-        if (metric.pass == "translation")
+        if (metric.pass == "translation") {
             lookups = metric.counters.at("cache_hits") +
                       metric.counters.at("cache_misses");
+            distinct = metric.counters.at("distinct_blocks");
+        }
+    EXPECT_EQ(distinct, static_cast<double>(blocks));
     EXPECT_EQ(lookups,
               static_cast<double>(blocks * gateSpecs(set).size()));
 }

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <random>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "qc/gates.h"
@@ -256,6 +263,99 @@ TEST(MatrixSbo, MultiplyIntoRejectsAliasing)
     Matrix b = gates::iswap();
     EXPECT_THROW(Matrix::multiplyInto(a, a, b), FatalError);
     EXPECT_THROW(Matrix::multiplyInto(b, a, b), FatalError);
+}
+
+// ------------------------------------------------- quantized form
+
+/** The printf rendering appendQuantizedForm must reproduce exactly. */
+std::string
+printfForm(const Matrix& m, int decimals)
+{
+    std::string out;
+    std::vector<char> buf;
+    for (size_t i = 0; i < m.rows(); ++i)
+        for (size_t j = 0; j < m.cols(); ++j) {
+            const cplx& v = m(i, j);
+            int len = std::snprintf(nullptr, 0, "%.*f,%.*f;", decimals,
+                                    v.real(), decimals, v.imag());
+            buf.resize(static_cast<size_t>(len) + 1);
+            std::snprintf(buf.data(), buf.size(), "%.*f,%.*f;", decimals,
+                          v.real(), decimals, v.imag());
+            out.append(buf.data(), static_cast<size_t>(len));
+        }
+    return out;
+}
+
+/** Pack values into 4x4 matrices and compare both renderings. */
+void
+expectSameForm(const std::vector<double>& values, int decimals)
+{
+    Matrix m(4, 4);
+    std::string fast;
+    for (size_t start = 0; start < values.size(); start += 32) {
+        for (size_t k = 0; k < 16; ++k) {
+            auto at = [&](size_t offset) {
+                size_t index = start + 2 * k + offset;
+                return index < values.size() ? values[index] : 0.0;
+            };
+            m(k / 4, k % 4) = cplx(at(0), at(1));
+        }
+        fast.clear();
+        appendQuantizedForm(fast, m, decimals);
+        std::string slow = printfForm(m, decimals);
+        ASSERT_EQ(fast, slow) << "values from index " << start;
+    }
+}
+
+TEST(QuantizedForm, MatchesPrintfOnSeededValues)
+{
+    // Uniform draws in (-2, 2), plus the 1e-9 half-way grid and its
+    // neighbours, where printf's exact rounding is easiest to miss.
+    std::mt19937_64 gen(20261020);
+    auto unit = [&gen]() {
+        return static_cast<double>(gen() >> 11) * 0x1.0p-53;
+    };
+    std::vector<double> values;
+    values.reserve(1200000);
+    for (int i = 0; i < 600000; ++i)
+        values.push_back(4.0 * unit() - 2.0);
+    for (int i = 0; i < 150000; ++i) {
+        double units = std::floor(unit() * 2e9);
+        double sign = (gen() & 1) ? -1.0 : 1.0;
+        double tie = sign * (units + 0.5) * 1e-9;
+        double grid = sign * units * 1e-9;
+        values.push_back(tie);
+        values.push_back(std::nextafter(tie, 0.0));
+        values.push_back(std::nextafter(tie, 2.0 * sign));
+        values.push_back(grid);
+    }
+    // Exactly representable ties: j/1024 for odd j is (j * 976562.5)
+    // * 1e-9, so printf's round-half-to-even decides these.
+    for (int j = 1; j < 2048; j += 2) {
+        values.push_back(j / 1024.0);
+        values.push_back(-j / 1024.0);
+    }
+    ASSERT_GE(values.size(), 1000000u);
+    expectSameForm(values, 9);
+}
+
+TEST(QuantizedForm, MatchesPrintfOnSignedZerosAndEdges)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::vector<double> values = {
+        0.0, -0.0, -1e-12, 1e-12, -4.9e-10, -5e-10, -5.1e-10, 4.9e-10,
+        5e-10, 5.1e-10, -4.9999999e-10, 5e-324, -5e-324,
+        std::nextafter(2.0, 0.0), -std::nextafter(2.0, 0.0), 1.0, -1.0,
+        0.9999999995, 1.9999999995, 1.99999999949,
+        // |v| >= 2 and non-finite values take the printf path.
+        2.0, -2.0, 2.5, -123.456789012, 1e300, -1e300, inf, -inf, nan,
+        -nan};
+    ASSERT_EQ(printfForm(Matrix{{cplx(-1e-12, -0.0)}}, 9),
+              "-0.000000000,-0.000000000;");
+    expectSameForm(values, 9);
+    for (int decimals : {0, 3, 6, 12})
+        expectSameForm(values, decimals);
 }
 
 } // namespace

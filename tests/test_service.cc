@@ -3,13 +3,15 @@
 // control, bit-identity of service results with compileCircuit, job
 // telemetry (queue wait, shard ids, cache hit ratio) flowing through
 // accumulatePassMetrics, cache persistence across service restarts,
-// the measured compile-time term in arrival plans, and concurrent
-// submitters hammering one service (the ASan/UBSan CI leg runs this
-// file too, so data races fail loudly).
+// the measured compile-time term in arrival plans, non-finite input
+// rejection at submit, and concurrent submitters hammering one service
+// (the ASan/UBSan CI leg runs this file too, so data races fail
+// loudly).
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +20,9 @@
 
 #include "apps/qaoa.h"
 #include "apps/qft.h"
+#include "common/error.h"
 #include "compiler/service.h"
+#include "qc/gates.h"
 
 namespace qiset {
 namespace {
@@ -332,6 +336,37 @@ TEST(CompileService, ValidatesFleetAndRequestOptions)
     // Submission after shutdown is refused.
     service.shutdown();
     EXPECT_ANY_THROW(service.submit(requestFor(makeWorkload(1, 3))));
+}
+
+TEST(CompileService, RejectsNonFiniteOpMatricesAtSubmit)
+{
+    GateSet set = isa::rigettiSet(1);
+    CompileServiceOptions options;
+    options.workers = 2;
+    CompileService service(twoShardFleet(), set, options);
+
+    for (double poison : {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity()}) {
+        SCOPED_TRACE(poison);
+        Matrix bad_gate = gates::zz(0.3);
+        bad_gate(1, 1) = cplx(0.0, poison);
+        Circuit bad = makeQftCircuit(3);
+        bad.add2q(0, 1, bad_gate, "ZZ");
+        EXPECT_THROW(service.submit(requestFor({makeQftCircuit(3), bad})),
+                     FatalError);
+    }
+
+    // The refused requests left no trace: the next job compiles as if
+    // they had never been submitted.
+    Circuit app = makeQftCircuit(4);
+    CompileJob job = service.submit(requestFor({app}));
+    ASSERT_EQ(job.wait(), JobStatus::Done);
+    int s = job.plan().assignments[0].shard;
+    const Shard& shard = service.fleet().shard(static_cast<size_t>(s));
+    ProfileCache solo_cache;
+    expectIdentical(
+        compileCircuit(app, shard.device, set, solo_cache, shard.options),
+        job.results()[0]);
 }
 
 // ------------------------------------------------------------ telemetry

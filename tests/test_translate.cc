@@ -1,6 +1,8 @@
 // NuOp translation pass tests: profiles, selection and emission.
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -333,7 +335,8 @@ TEST(Translate, ParallelProfileWarmupBitIdenticalToSerial)
             EXPECT_EQ(x.unitary().maxAbsDiff(y.unitary()), 0.0);
         }
     }
-    // Every (block, spec) lookup tallies exactly one hit or miss. The split is timing-dependent under concurrency (racing
+    // Every (distinct unitary, spec) lookup tallies exactly one hit or
+    // miss. The split is timing-dependent under concurrency (racing
     // same-key requesters both compute and both count as misses, by
     // ProfileCache design), but the total is exact.
     EXPECT_EQ(serial.cache_hits + serial.cache_misses,
@@ -342,7 +345,10 @@ TEST(Translate, ParallelProfileWarmupBitIdenticalToSerial)
     EXPECT_EQ(serial.cache_misses, forced_serial.cache_misses);
 }
 
-/** Delegating engine that counts the cache keys built through it. */
+/**
+ * Delegating engine that counts the cache keys built and the
+ * representatives (dressing solves) requested through it.
+ */
 class KeyCountingStrategy : public DecompositionStrategy
 {
   public:
@@ -358,6 +364,7 @@ class KeyCountingStrategy : public DecompositionStrategy
     }
     Matrix profileTarget(const Matrix& target) const override
     {
+        profile_targets.fetch_add(1);
         return inner_->profileTarget(target);
     }
     std::string cacheKey(const Matrix& target,
@@ -378,16 +385,38 @@ class KeyCountingStrategy : public DecompositionStrategy
     }
 
     mutable std::atomic<size_t> keys{0};
+    mutable std::atomic<size_t> profile_targets{0};
 
   private:
     std::unique_ptr<DecompositionStrategy> inner_;
 };
 
-TEST(Translate, WarmTranslationLooksUpEachBlockProfileOnce)
+/** 2Q op unitaries of the circuit that differ in at least one byte. */
+size_t
+bitwiseDistinctTwoQubitUnitaries(const Circuit& circuit)
 {
-    // One cache lookup — one key built — per (2Q block, gate spec),
-    // serial or fanned over a pool, and on a warm cache every one of
-    // them is a hit.
+    std::vector<const Matrix*> seen;
+    for (const auto& op : circuit.ops()) {
+        if (!op.isTwoQubit())
+            continue;
+        const Matrix& u = op.unitary();
+        bool repeat = false;
+        for (const Matrix* other : seen)
+            repeat = repeat ||
+                     std::memcmp(other->data(), u.data(),
+                                 u.size() * sizeof(cplx)) == 0;
+        if (!repeat)
+            seen.push_back(&u);
+    }
+    return seen.size();
+}
+
+TEST(Translate, WarmTranslationLooksUpEachDistinctUnitaryOnce)
+{
+    // One cache lookup — one key built — per (bitwise-distinct 2Q
+    // unitary, gate spec), serial or fanned over a pool, and on a warm
+    // cache every one of them is a hit. Canonicalizing engines solve
+    // each distinct unitary's dressing once.
     Device d("line4", Topology::line(4));
     for (auto [a, b] : d.topology().edges()) {
         d.setEdgeFidelity(a, b, "S3", 0.99);
@@ -398,26 +427,37 @@ TEST(Translate, WarmTranslationLooksUpEachBlockProfileOnce)
     GateSet set = isa::rigettiSet(1); // {CZ, iSWAP}
     NuOpDecomposer decomposer(fastNuOp());
     Rng rng(74);
+    // zz(0.3)'s twin differs only in the sign of one zero entry: it
+    // renders a different key ("-0.000000000"), so it must not share
+    // the original's lookup.
+    Matrix zz_twin = zz(0.3);
+    ASSERT_EQ(zz_twin(0, 1), cplx(0.0, 0.0));
+    ASSERT_FALSE(std::signbit(zz_twin(0, 1).real()));
+    zz_twin(0, 1) = cplx(-0.0, 0.0);
     Circuit logical(4);
     logical.add2q(0, 1, randomSu4(rng), "SU4");
     logical.add1q(2, hadamard(), "H");
     logical.add2q(1, 2, zz(0.3), "ZZ");
     logical.add2q(2, 3, randomSu4(rng), "SU4");
-    logical.add2q(0, 1, zz(0.3), "ZZ"); // same profile, own lookup
-    const size_t expected =
-        static_cast<size_t>(logical.twoQubitGateCount()) *
-        gateSpecs(set).size();
-    ASSERT_GT(expected, 0u);
+    logical.add2q(0, 1, zz(0.3), "ZZ"); // repeat: shares the lookup
+    logical.add2q(2, 3, zz_twin, "ZZ"); // -0.0 twin: its own lookup
+    const size_t distinct = bitwiseDistinctTwoQubitUnitaries(logical);
+    ASSERT_EQ(distinct, 4u);
+    const size_t expected = distinct * gateSpecs(set).size();
 
     ThreadPool pool(2);
     for (const char* engine : {"nuop", "auto"}) {
         SCOPED_TRACE(engine);
         KeyCountingStrategy strategy(engine);
         ProfileCache cache;
-        translateCircuit(logical, {0, 1, 2, 3}, d, set, decomposer,
-                         strategy, cache, /*approximate=*/true);
+        TranslateResult cold =
+            translateCircuit(logical, {0, 1, 2, 3}, d, set, decomposer,
+                             strategy, cache, /*approximate=*/true);
+        EXPECT_EQ(strategy.keys.load(), expected);
+        EXPECT_EQ(cold.cache_hits + cold.cache_misses, expected);
         for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
             strategy.keys = 0;
+            strategy.profile_targets = 0;
             TranslateResult warm =
                 translateCircuit(logical, {0, 1, 2, 3}, d, set,
                                  decomposer, strategy, cache,
@@ -425,6 +465,18 @@ TEST(Translate, WarmTranslationLooksUpEachBlockProfileOnce)
             EXPECT_EQ(strategy.keys.load(), expected);
             EXPECT_EQ(warm.cache_hits, expected);
             EXPECT_EQ(warm.cache_misses, 0u);
+            EXPECT_EQ(warm.distinct_blocks, static_cast<int>(distinct));
+            EXPECT_EQ(warm.dressing_fallbacks, 0);
+            // No block here is its own Weyl representative, so every
+            // distinct unitary costs exactly one dressing solve.
+            EXPECT_EQ(strategy.profile_targets.load(),
+                      strategy.canonicalizesTargets() ? distinct : 0u);
+            // Shared lookups change nothing in the output.
+            ASSERT_EQ(warm.circuit.size(), cold.circuit.size());
+            for (size_t i = 0; i < warm.circuit.size(); ++i)
+                EXPECT_EQ(warm.circuit.ops()[i].unitary().maxAbsDiff(
+                              cold.circuit.ops()[i].unitary()),
+                          0.0);
         }
     }
 }
